@@ -20,7 +20,7 @@ import numpy as np
 
 from . import configmat, dualities, realize, tffcore
 from .configmat import ConfigMatrix
-from .errors import ConvergenceFailure, TFFCombError
+from .errors import ConvergenceFailure, InvalidAlpha, TFFCombError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -135,6 +135,9 @@ def _cmd_certificate(args) -> int:
 def _cmd_tableau(args) -> int:
     if args.infile:
         cert = _load_config(args.infile)
+    elif args.ranks is None or args.dim is None:
+        print("tableau: need --ranks and --dim (or --in)", file=sys.stderr)
+        return EXIT_USAGE
     else:
         ranks = _canonical_ranks(args.ranks)
         cert = configmat.find_config(ranks, args.dim)
@@ -252,6 +255,8 @@ def _cmd_dual_config(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
+    if args.dim < 1:
+        raise InvalidAlpha(f"dimension must be positive, got {args.dim}")
     ranks = _canonical_ranks(args.ranks)
     alpha = args.alpha if args.alpha is not None else Fraction(sum(ranks), args.dim)
     padded = ranks + (0, 0, 0)

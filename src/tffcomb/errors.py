@@ -61,6 +61,10 @@ class InvalidMultiplicity(TFFCombError):
     """Multiplicity function violates the two-projection spectrum conditions."""
 
 
+class InvalidParameter(TFFCombError):
+    """Numerical option is out of range (e.g. a negative tolerance)."""
+
+
 class ConvergenceFailure(TFFCombError):
     """Optimizer failed to reach the target residual within the restart budget."""
 

@@ -16,7 +16,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .configmat import ConfigMatrix, mu_chain
-from .errors import ConvergenceFailure, InvalidMultiplicity, NotATFFSequence
+from .errors import (
+    ConvergenceFailure,
+    InvalidMultiplicity,
+    InvalidParameter,
+    NotATFFSequence,
+)
 from .partitions import pad
 from .tffcore import decide
 
@@ -222,8 +227,16 @@ def realize_tff(
     Alternates between the affine constraint (subtract the shared residual
     from every block) and the product of fixed-rank projection manifolds
     (spectral truncation), restarting from fresh random orthonormal bases up
-    to ``max_restarts`` times.  Deterministic for a fixed seed.
+    to ``max_restarts`` times.  Deterministic for a fixed seed.  Raises
+    InvalidParameter unless ``max_restarts >= 1`` and ``tol >= 0``; a zero
+    tolerance demands an exact realization.
     """
+    if max_restarts < 1:
+        raise InvalidParameter(
+            f"max_restarts must be at least 1, got {max_restarts}"
+        )
+    if not tol >= 0:
+        raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
     ranks = tuple(sorted((int(r) for r in ranks), reverse=True))
     if not decide(ranks, dim):
         raise NotATFFSequence(

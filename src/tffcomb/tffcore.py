@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .configmat import ConfigMatrix, find_config
+from .configmat import ConfigMatrix, _check_ranks, find_config
+from .dualities import config_naimark_dual, config_spatial_dual
 from .errors import AlphaOutOfRange, InvalidAlpha, InvalidRanks
 from .partitions import as_partition, dominance_leq, partitions_of
 
@@ -64,51 +65,60 @@ def decide(
 ) -> bool | tuple[bool, ConfigMatrix | None]:
     """Whether ``ranks`` admits a tight fusion frame in dimension ``dim``.
 
-    The instance is first canonicalized through tightness-preserving moves:
-    full ranks peel off as identity summands, the spatial dual is taken
-    whenever it shrinks the total rank, and the Naimark dual whenever the
-    frame bound exceeds 2.  The certificate search then runs on the reduced
-    instance; with ``certificate=True`` the witness is mapped back through
-    the same moves (configuration-matrix dualities are exact involutions,
-    and a peeled identity summand re-enters as a forced diagonal block).
+    The instance descends through tightness-preserving moves, in the manner
+    of Euclid's algorithm, with total rank M and dimension N:
+
+    - full ranks peel off as identity summands;
+    - M < N is not tight, and M = N is tight (an orthogonal decomposition);
+    - the largest rank must fit in the Naimark complement, L_1 <= M - N;
+    - the spatial dual is taken when it shrinks M (K*N - M < M);
+    - the Naimark dual is taken when it shrinks N (M < 2N);
+    - at the end (M >= 2N) the Naimark complement has bound M/(M-N) <= 2,
+      so ``k_block_bound`` must hold for the ranks in dimension M - N.
+
+    Every move strictly lowers M + N, so the descent ends.  The certificate
+    search then runs only on the terminal instance; with
+    ``certificate=True`` the witness is lifted back through the recorded
+    moves (configuration-matrix dualities are exact involutions, and a
+    peeled identity summand re-enters as a forced diagonal block).
     """
-    ranks = tuple(sorted((int(r) for r in ranks), reverse=True))
-    if not ranks:
-        raise InvalidRanks("rank sequence is empty")
-    if ranks[0] > dim:
-        raise InvalidRanks(f"largest rank {ranks[0]} exceeds dimension {dim}")
+    ranks = tuple(sorted(_check_ranks(ranks, dim), reverse=True))
 
     def outcome(tight: bool, cert: ConfigMatrix | None):
         return (tight, cert) if certificate else tight
 
-    ops: list[tuple] = []
+    trail: list[tuple] = []
     cur_ranks, cur_dim = ranks, dim
     while True:
-        full = sum(1 for r in cur_ranks if r == cur_dim)
-        if full == len(cur_ranks):
-            break
-        if full:
-            ops.append(("peel", full, cur_dim))
-            cur_ranks = tuple(r for r in cur_ranks if r < cur_dim)
+        full = cur_ranks.count(cur_dim)
+        if 0 < full < len(cur_ranks):
+            trail.append(("peel", full, cur_dim))
+            cur_ranks = cur_ranks[full:]
             continue
         total = sum(cur_ranks)
         if total < cur_dim:
             return outcome(False, None)
-        k = len(cur_ranks)
-        if k * cur_dim - total < total:
-            ops.append(("spatial",))
+        if full or total == cur_dim:
+            if not certificate:
+                return outcome(True, None)
+            break
+        if cur_ranks[0] > total - cur_dim:
+            return outcome(False, None)
+        if len(cur_ranks) * cur_dim - total < total:
+            trail.append(("spatial",))
             cur_ranks = tuple(cur_dim - r for r in reversed(cur_ranks))
-            continue
-        if total > 2 * cur_dim:
-            ops.append(("naimark",))
+        elif total < 2 * cur_dim:
+            trail.append(("naimark",))
             cur_dim = total - cur_dim
-            continue
-        break
+        elif not k_block_bound(
+            cur_ranks, total - cur_dim, Fraction(total, total - cur_dim)
+        ):
+            return outcome(False, None)
+        else:
+            break
 
-    if cur_ranks and cur_ranks[0] == cur_dim:
-        # all remaining ranks are full: identity summands, always tight
-        if not certificate:
-            return outcome(True, None)
+    if full:
+        # all remaining ranks are full: identity summands
         cert = ConfigMatrix(
             dim=cur_dim,
             ranks=cur_ranks,
@@ -124,9 +134,7 @@ def decide(
         if not certificate:
             return outcome(True, None)
 
-    from .dualities import config_naimark_dual, config_spatial_dual
-
-    for op in reversed(ops):
+    for op in reversed(trail):
         if op[0] == "naimark":
             cert = config_naimark_dual(cert)
         elif op[0] == "spatial":

@@ -71,6 +71,14 @@ class TestCountAndCertificate:
         code, _, err = run(capsys, "certificate", "--dim", "5", "--ranks", "3,3")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("--dim", "3"), ("--ranks", "2,1"), ()]
+    )
+    def test_tableau_without_source_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, "tableau", *argv)
+        assert code == 2
+        assert "need --ranks and --dim" in err
+
 
 class TestMaximal:
     def test_single_cell_json(self, capsys):
@@ -186,6 +194,12 @@ class TestCheckBounds:
         code, out, _ = run(capsys, "check-bounds", "--dim", "3", "--ranks", "3,3")
         assert code == 0 and "n/a" in out
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_nonpositive_dim_is_usage_error(self, capsys, dim):
+        code, _, err = run(capsys, "check-bounds", "--dim", dim, "--ranks", "1,1")
+        assert code == 2
+        assert "dimension must be positive" in err
+
 
 class TestTwoProj:
     def test_valid_spectrum(self, capsys):
@@ -239,6 +253,17 @@ class TestRealizeVerify:
         )
         assert code == 3
         assert "residual" in err
+
+    @pytest.mark.parametrize(
+        "option", [("--max-restarts", "0"), ("--tol", "-1")]
+    )
+    def test_bad_realizer_parameters_exit_2(self, capsys, option):
+        code, _, err = run(
+            capsys, "realize", "--dim", "6", "--ranks", "4,2,2,2,1",
+            "--seed", "0", *option,
+        )
+        assert code == 2
+        assert "residual" not in err
 
     def test_malformed_certificate_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

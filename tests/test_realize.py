@@ -18,7 +18,11 @@ from tffcomb import (
     validate_multiplicity,
     verify_tff,
 )
-from tffcomb.errors import InvalidMultiplicity, NotATFFSequence
+from tffcomb.errors import (
+    InvalidMultiplicity,
+    InvalidParameter,
+    NotATFFSequence,
+)
 
 
 def grid_eigenvalues(max_den):
@@ -203,6 +207,15 @@ class TestRealize:
     def test_not_tight_rejected(self):
         with pytest.raises(NotATFFSequence):
             realize_tff((3, 3), 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_restarts": 0}, {"max_restarts": -3}, {"tol": -1e-9},
+         {"tol": float("nan")}],
+    )
+    def test_bad_parameters_rejected(self, options):
+        with pytest.raises(InvalidParameter):
+            realize_tff((2, 2, 2), 4, seed=0, **options)
 
     def test_deterministic_for_seed(self):
         a = realize_tff((2, 2, 2), 4, seed=11)

@@ -8,6 +8,7 @@ from tffcomb import (
     decide,
     enumerate_tff,
     fillmore_feasible,
+    find_config,
     first3_check,
     hook_type_decide,
     k_block_bound,
@@ -55,6 +56,44 @@ class TestDecide:
 
     def test_unsorted_input_accepted(self):
         assert decide((1, 2, 2, 2), 4) == decide((2, 2, 2, 1), 4)
+
+    @pytest.mark.parametrize(
+        "ranks, dim", [((2, 2, 0), 3), ((2, 0), 2), ((), 3), ((1, 1), 0)]
+    )
+    def test_malformed_instances_rejected(self, ranks, dim):
+        with pytest.raises(InvalidRanks):
+            decide(ranks, dim)
+
+    def test_descent_agrees_with_unreduced_search(self):
+        # 696 instances: every partition with 1 <= dim <= 6 and
+        # dim <= total <= 2*dim + 2, searched at full size as the reference
+        checked = 0
+        for dim in range(1, 7):
+            for total in range(dim, 2 * dim + 3):
+                for ranks in partitions_of(total, max_part=dim):
+                    tight, cert = decide(ranks, dim, certificate=True)
+                    assert decide(ranks, dim) == tight
+                    assert tight == (find_config(ranks, dim) is not None), (
+                        ranks, dim,
+                    )
+                    if tight:
+                        assert validate_config(cert).ok, (ranks, dim)
+                        assert (cert.ranks, cert.dim) == (ranks, dim)
+                    checked += 1
+        assert checked == 696
+
+    @pytest.mark.parametrize(
+        "ranks, tight",
+        [((4, 4, 4, 4), True), ((5, 4, 4, 4), True), ((5, 4, 4, 3), False)],
+    )
+    def test_dim_nine_instances_reduce(self, ranks, tight):
+        got, cert = decide(ranks, 9, certificate=True)
+        assert got == tight
+        if tight:
+            assert validate_config(cert).ok
+            assert (cert.ranks, cert.dim) == (ranks, 9)
+        else:
+            assert cert is None
 
 
 class TestFillmore:
