@@ -17,15 +17,25 @@ how many boxes labelled ``v`` each row of the k-th skew tableau receives, so
 these matrices are exactly unions of column-strict lattice skew tableaux and
 their number equals a Littlewood-Richardson coefficient of rectangles.
 
-The search in this module fills columns left to right, each column top to
-bottom, trying larger entries first; partial states are pruned by prefix
-feasibility bounds and memoized, which keeps exhaustive non-existence proofs
-tractable up to dim 9.
+The search in this module (find_config, iter_configs) fills columns left to
+right, each column top to bottom, trying larger entries first; partial states
+are pruned by prefix feasibility bounds, and states with no certificate below
+them are remembered, which keeps exhaustive non-existence proofs tractable up
+to dim 9.
+
+Counting (count_configs) meets in the middle of the box instead.  The count
+is the coefficient of the box ``(M^N)`` in the product of the rectangles
+``(N^{L_k})``.  That product commutes, and two shapes inside the box multiply
+to the box exactly when each is the other's 180-degree complement, with
+coefficient 1.  So the blocks are split into two halves, each half counts
+the ways it fills every shape from the empty one, and the count is the sum
+of the products of the two counts over complementary pairs of shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -120,56 +130,51 @@ def validate_config(a: ConfigMatrix) -> ValidationReport:
     """
     n, m = a.dim, a.total
     rows = a.entries
-    for i in range(n):
-        for j in range(m):
-            if rows[i][j] < 0:
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x < 0:
                 return ValidationReport(
                     False, "i", (i + 1, j + 1),
                     f"negative entry at row {i + 1}, column {j + 1}",
                 )
-    for i in range(n):
-        s = sum(rows[i])
+    for i, row in enumerate(rows):
+        s = sum(row)
         if s != m:
             return ValidationReport(
                 False, "ii", (i + 1,), f"row {i + 1} sums to {s}, expected {m}"
             )
-    for j in range(m):
-        s = sum(rows[i][j] for i in range(n))
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        s = sum(col)
         if s != n:
             return ValidationReport(
                 False, "iii", (j + 1,), f"column {j + 1} sums to {s}, expected {n}"
             )
+    # rows have equal sums by now, so (iv) needs no check at full length
     for i in range(n - 1):
         diff = 0
-        for l in range(m):
+        for l, (x, nxt) in enumerate(zip(rows[i], rows[i + 1])):
             # prefix of length l compared against entry l+1 of the next row
-            nxt = rows[i + 1][l]
             if diff < nxt:
                 return ValidationReport(
                     False, "iv", (i + 1, l + 1),
                     f"row dominance fails between rows {i + 1},{i + 2}"
                     f" at prefix length {l}",
                 )
-            diff += rows[i][l] - rows[i + 1][l]
-        if diff < 0:
-            return ValidationReport(
-                False, "iv", (i + 1, m),
-                f"row dominance fails between rows {i + 1},{i + 2} at full length",
-            )
-    for k in range(len(a.ranks)):
-        blk = a.block(k)
-        width = a.ranks[k]
+            diff += x - nxt
+    lo = 0
+    for k, width in enumerate(a.ranks):
         for j in range(width - 1):
             diff = 0
-            for l in range(n):
-                nxt = blk[l][j + 1]
+            for l, (x, nxt) in enumerate(zip(cols[lo + j], cols[lo + j + 1])):
                 if diff < nxt:
                     return ValidationReport(
                         False, "v", (k + 1, j + 1, l + 1),
                         f"column dominance fails in block {k + 1} between"
                         f" columns {j + 1},{j + 2} at prefix length {l}",
                     )
-                diff += blk[l][j] - blk[l][j + 1]
+                diff += x - nxt
+        lo += width
     return ValidationReport(True)
 
 
@@ -192,7 +197,7 @@ def _column_options(
     value: int,
     n: int,
     m: int,
-) -> Iterator[tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Admissible next columns, in descending lexicographic order.
 
     ``rho`` holds the current row sums.  A column for label ``value`` must put
@@ -212,10 +217,12 @@ def _column_options(
             pp[i + 1] = pp[i] + prev[i]
 
     out = [0] * n
+    options: list[tuple[int, ...]] = []
 
-    def rec(i: int, remaining: int, csum: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, remaining: int, csum: int) -> None:
+        # rows i.. of ``out`` are zero on entry, so a full column is out as is
         if remaining == 0:
-            yield tuple(out[:i]) + (0,) * (n - i)
+            options.append(tuple(out))
             return
         if i == n or remaining > suffix[i]:
             return
@@ -224,10 +231,43 @@ def _column_options(
             hi = min(hi, pp[i] - csum)
         for x in range(hi, -1, -1):
             out[i] = x
-            yield from rec(i + 1, remaining - x, csum + x)
+            rec(i + 1, remaining - x, csum + x)
         out[i] = 0
 
-    yield from rec(0, n, 0)
+    rec(0, n, 0)
+    return options
+
+
+def _shape_counts(
+    blocks: Sequence[int], later: Sequence[int], n: int, m: int
+) -> dict[tuple[int, ...], int]:
+    """Number of ways the ``blocks`` fill each shape of the n x m box.
+
+    Fills the columns of the blocks left to right from the empty shape and
+    returns ``{row sums: ways}``.  A state is the row sums plus the previous
+    column, which only matters inside a block, so it is dropped at block ends
+    and the states of a block merge there.  The blocks after the current
+    one, the rest of ``blocks`` and then ``later``, fill the 180-degree
+    complement of the shape the current block ends on.  That complement
+    contains their largest rectangle ``(n^rank)``, so the bottom ``rank``
+    rows of every state stay within ``m - n``; other states are dropped.
+    """
+    states: dict = {((0,) * n, None): 1}
+    for k, width in enumerate(blocks):
+        rest = [*blocks[k + 1:], *later]
+        row, cap = (n - max(rest), m - n) if rest else (0, m)
+        for v in range(1, width + 1):
+            in_block = v < width
+            grown: dict = {}
+            for (rho, prev), ways in states.items():
+                for col in _column_options(rho, prev, v, n, m):
+                    nrho = tuple(map(add, rho, col))
+                    if nrho[row] > cap:
+                        continue
+                    key = (nrho, col if in_block else None)
+                    grown[key] = grown.get(key, 0) + ways
+            states = grown
+    return {rho: ways for (rho, _), ways in states.items()}
 
 
 class _Search:
@@ -274,79 +314,50 @@ class _Search:
                 return False
         return True
 
-    def count(self) -> int:
-        n, m = self.n, self.m
-        cols = self.cols
-        memo: dict = {}
-
-        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None) -> int:
-            if c == m:
-                return 1 if rho == self.target else 0
-            key = (c, rho, prev)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            total = 0
-            if self.feasible(c, rho):
-                blk, v = cols[c]
-                in_block = c + 1 < m and cols[c + 1][0] == blk
-                for col in _column_options(rho, prev, v, n, m):
-                    nrho = tuple(rho[i] + col[i] for i in range(n))
-                    total += go(c + 1, nrho, col if in_block else None)
-            memo[key] = total
-            return total
-
-        return go(0, (0,) * n, None)
-
     def enumerate(self) -> Iterator[list[tuple[int, ...]]]:
-        n, m = self.n, self.m
-        cols = self.cols
-        chosen: list[tuple[int, ...]] = []
+        """Every certificate as a list of columns, in the search order.
 
-        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
-            if c == m:
-                if rho == self.target:
-                    yield list(chosen)
-                return
-            if not self.feasible(c, rho):
-                return
-            blk, v = cols[c]
-            in_block = c + 1 < m and cols[c + 1][0] == blk
-            for col in _column_options(rho, prev, v, n, m):
-                nrho = tuple(rho[i] + col[i] for i in range(n))
-                chosen.append(col)
-                yield from go(c + 1, nrho, col if in_block else None)
-                chosen.pop()
-
-        yield from go(0, (0,) * n, None)
-
-    def find(self) -> list[tuple[int, ...]] | None:
+        A state (column, row sums, previous column) whose subtree held no
+        certificate is remembered and skipped when it is reached again.
+        """
         n, m = self.n, self.m
         cols = self.cols
         failed: set = set()
         chosen: list[tuple[int, ...]] = []
+        found = 0
 
-        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None) -> bool:
+        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
+            nonlocal found
             if c == m:
-                return rho == self.target
+                if rho == self.target:
+                    found += 1
+                    yield list(chosen)
+                return
             key = (c, rho, prev)
-            if key in failed:
-                return False
-            if self.feasible(c, rho):
-                blk, v = cols[c]
-                in_block = c + 1 < m and cols[c + 1][0] == blk
-                for col in _column_options(rho, prev, v, n, m):
-                    nrho = tuple(rho[i] + col[i] for i in range(n))
-                    chosen.append(col)
-                    if go(c + 1, nrho, col if in_block else None):
-                        return True
-                    chosen.pop()
-            failed.add(key)
-            return False
+            if key in failed or not self.feasible(c, rho):
+                return
+            before = found
+            blk, v = cols[c]
+            in_block = c + 1 < m and cols[c + 1][0] == blk
+            for col in _column_options(rho, prev, v, n, m):
+                chosen.append(col)
+                yield from go(c + 1, tuple(map(add, rho, col)),
+                              col if in_block else None)
+                chosen.pop()
+            if found == before:
+                failed.add(key)
 
-        if go(0, (0,) * n, None):
-            return chosen
-        return None
+        yield from go(0, (0,) * n, None)
+
+
+def _from_columns(
+    columns: list[tuple[int, ...]], ranks: tuple[int, ...], dim: int
+) -> ConfigMatrix:
+    return ConfigMatrix(
+        dim=dim,
+        ranks=ranks,
+        entries=tuple(tuple(col[i] for col in columns) for i in range(dim)),
+    )
 
 
 def find_config(ranks: Sequence[int], dim: int) -> ConfigMatrix | None:
@@ -358,34 +369,47 @@ def find_config(ranks: Sequence[int], dim: int) -> ConfigMatrix | None:
     in the order given (the count and existence do not depend on the order).
     """
     ranks = _check_ranks(ranks, dim)
-    columns = _Search(ranks, dim).find()
-    if columns is None:
-        return None
-    entries = tuple(
-        tuple(col[i] for col in columns) for i in range(dim)
-    )
-    return ConfigMatrix(dim=dim, ranks=ranks, entries=entries)
+    columns = next(_Search(ranks, dim).enumerate(), None)
+    return None if columns is None else _from_columns(columns, ranks, dim)
 
 
 def count_configs(ranks: Sequence[int], dim: int) -> int:
-    """Exact number of configuration matrices for ``(ranks, dim)``."""
+    """Exact number of configuration matrices for ``(ranks, dim)``.
+
+    Meets in the middle of the ``dim x M`` box.  The ranks, sorted, are split
+    into two halves of near-equal total, and each half is counted on its own
+    from the empty shape (``_shape_counts``).  The product of the rectangles
+    commutes, and inside the box a shape mu pairs only with its 180-degree
+    complement, with coefficient 1.  So the count is the sum over mu of
+    ``left[mu] * right[complement of mu]``.
+    """
     ranks = _check_ranks(ranks, dim)
-    return _Search(ranks, dim).count()
+    m = sum(ranks)
+    halves: tuple[list[int], list[int]] = ([], [])
+    for r in sorted(ranks, reverse=True):
+        min(halves, key=sum).append(r)
+    left = _shape_counts(halves[0], halves[1], dim, m)
+    right = (
+        left if halves[0] == halves[1]
+        else _shape_counts(halves[1], halves[0], dim, m)
+    )
+    return sum(
+        ways * right.get(tuple(m - x for x in reversed(mu)), 0)
+        for mu, ways in left.items()
+    )
 
 
 def iter_configs(ranks: Sequence[int], dim: int) -> Iterator[ConfigMatrix]:
     """Every configuration matrix, in the documented search order.
 
-    Exhaustive (no memoization), so intended for small instances such as
-    bijection tests; use count_configs for bare counts.
+    The same depth-first walk as find_config, continued past the first
+    certificate.  It skips dead states but yields certificates one at a time,
+    so its cost grows with the count; count_configs gives bare counts without
+    building any certificate.
     """
     ranks = _check_ranks(ranks, dim)
     for columns in _Search(ranks, dim).enumerate():
-        yield ConfigMatrix(
-            dim=dim,
-            ranks=ranks,
-            entries=tuple(tuple(col[i] for col in columns) for i in range(dim)),
-        )
+        yield _from_columns(columns, ranks, dim)
 
 
 def _mu_levels(a: ConfigMatrix) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ from the standalone enumeration oracle.
 from itertools import product
 
 from tffcomb import ConfigMatrix, lr_oracle, validate_config
-from tffcomb.partitions import contains, pad, partitions_in_box
+from tffcomb.partitions import conjugate, contains, pad, partitions_in_box
 
 
 def _compositions(total, length):
@@ -64,8 +64,16 @@ def chain_count_configs(ranks, dim):
         sigma += width
         new_levels = {}
         for mu, ways in levels.items():
+            mu_columns = conjugate(mu)
             for nu in partitions_in_box(dim * sigma, dim, m):
                 if not contains(mu, nu):
+                    continue
+                # labels 1..width increase strictly down a column, so a
+                # column of nu/mu longer than width has no filling and the
+                # coefficient is 0 without asking the oracle
+                nu_columns = conjugate(nu)
+                heights = zip(nu_columns, pad(mu_columns, len(nu_columns)))
+                if any(a - b > width for a, b in heights):
                     continue
                 coeff = lr_oracle(mu, (dim,) * width, nu)
                 if coeff:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestCountAndCertificate:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "count", "--dim", "3", "--ranks", "2,2,1,1")
         assert code == 0 and out.strip() == "4"
+
+    def test_count_json_large(self, capsys):
+        # 1435 certificates in a 5 x 32 box, counted by meeting in the middle
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "count", "--dim", "5", "--ranks", "4,4,4,4,4,4,4,4", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 1435
+        assert time.perf_counter() - start < 1.0
 
     def test_certificate_json_round_trip(self, capsys, tmp_path):
         target = tmp_path / "cert.json"

@@ -24,6 +24,7 @@ from tffcomb import (
     count_configs,
     find_config,
     hook_completion_feasible,
+    iter_configs,
     lr_oracle,
     mu_chain,
     okada_product,
@@ -108,6 +109,36 @@ class TestValidate:
         report = validate_config(bad)
         assert not report.ok and report.violated == "i"
 
+    @pytest.mark.parametrize(
+        "changes, violated, indices, message",
+        [
+            ({(2, 5): -3}, "i", (3, 6), "negative entry at row 3, column 6"),
+            ({(1, 3): +1}, "ii", (2,), "row 2 sums to 9, expected 8"),
+            ({(0, 0): -1, (0, 7): +1}, "iii", (1,),
+             "column 1 sums to 4, expected 5"),
+            ({(3, 6): -1, (3, 7): +1, (4, 6): +1, (4, 7): -1}, "iv", (4, 7),
+             "row dominance fails between rows 4,5 at prefix length 6"),
+            ({(3, 6): -1, (3, 5): +1, (4, 6): +1, (4, 5): -1}, "v", (4, 1, 5),
+             "column dominance fails in block 4 between columns 1,2"
+             " at prefix length 4"),
+        ],
+        ids=["i", "ii", "iii", "iv", "v"],
+    )
+    def test_pinned_reports(self, changes, violated, indices, message):
+        # one smallest perturbation of a valid certificate per property:
+        # a single entry for (i) and (ii), a unit moved along a row for (iii),
+        # a unit cycle on a 2x2 minor (row and column sums kept) for (iv) and
+        # (v); reports frozen from the row-by-row validator
+        rows = [list(r) for r in CERT_5x8_RANKS_2222.entries]
+        for (i, j), delta in changes.items():
+            rows[i][j] += delta
+        report = validate_config(
+            ConfigMatrix(5, (2, 2, 2, 2), tuple(map(tuple, rows)))
+        )
+        assert (report.ok, report.violated, report.indices, report.message) == (
+            False, violated, indices, message,
+        )
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ConfigMatrix(2, (1, 1), ((1, 1, 1), (1, 1, 1)))
@@ -157,6 +188,38 @@ class TestCountConfigs:
     def test_pinned_2221_dim4(self):
         # frozen from the raw matrix enumeration oracle (see oracles.py)
         assert count_configs((2, 2, 2, 1), 4) == 1
+
+    @pytest.mark.parametrize(
+        "ranks, dim, expected",
+        [
+            ((4,) * 8, 5, 1435),
+            ((1,) * 8, 5, 1435),
+            ((3,) * 8, 5, 3308764620),
+            ((4, 4, 4, 3), 8, 1),
+        ],
+    )
+    def test_pinned_counts(self, ranks, dim, expected):
+        # frozen from the column-by-column count over the full box
+        assert count_configs(ranks, dim) == expected
+
+    def test_agrees_with_search_and_enumeration(self):
+        # 696 instances: every partition with 1 <= dim <= 6 and
+        # dim <= total <= 2*dim + 2; the count is compared with the search
+        # and, where it is small enough, with the enumeration
+        checked = enumerated = 0
+        for dim in range(1, 7):
+            for total in range(dim, 2 * dim + 3):
+                for ranks in partitions_of(total, max_part=dim):
+                    count = count_configs(ranks, dim)
+                    found = find_config(ranks, dim) is not None
+                    assert (count > 0) == found, (ranks, dim)
+                    if count <= 5000:
+                        assert count == len(list(iter_configs(ranks, dim))), (
+                            ranks, dim,
+                        )
+                        enumerated += 1
+                    checked += 1
+        assert (checked, enumerated) == (696, 558)
 
     def test_brute_force_agreement_small(self):
         cases = [
