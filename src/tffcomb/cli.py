@@ -3,16 +3,13 @@
 Exit codes: 0 affirmative/success, 1 negative decision or failed check,
 2 usage error, 3 convergence failure in the numerical realizer.  Every
 subcommand takes ``--json`` for machine-readable output; rationals are
-written as "p/q" and rank lists as comma-separated integers.  The env var
-TFF_THREADS is honored as an upper bound on internal parallelism (the
-current implementation is sequential, so any value runs identically).
+written as "p/q" and rank lists as comma-separated integers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -54,14 +51,6 @@ def _canonical_ranks(ranks: tuple[int, ...]) -> tuple[int, ...]:
             file=sys.stderr,
         )
     return ordered
-
-
-def thread_cap() -> int:
-    """Upper bound on worker parallelism from TFF_THREADS (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("TFF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(payload: dict, text: str, as_json: bool, out: str | None = None) -> None:

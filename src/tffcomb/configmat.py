@@ -44,6 +44,7 @@ from .errors import (
     InvalidCertificate,
     InvalidRanks,
     InvalidShape,
+    MalformedInput,
     SizeMismatch,
 )
 from .partitions import as_partition, contains, count_equal_parts, pad
@@ -58,10 +59,16 @@ class ConfigMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries)
-        )
+        try:
+            raw = (self.dim, tuple(self.ranks), tuple(map(tuple, self.entries)))
+            ints = (int(raw[0]), tuple(map(int, raw[1])),
+                    tuple(tuple(map(int, row)) for row in raw[2]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidCertificate(f"non-integral certificate data: {exc}") from exc
+        if ints != raw:
+            raise InvalidCertificate(f"non-integral certificate data: {raw!r}")
+        for name, value in zip(("dim", "ranks", "entries"), ints):
+            object.__setattr__(self, name, value)
         if self.dim <= 0 or not self.ranks or any(r <= 0 for r in self.ranks):
             raise DimensionMismatch(
                 f"need positive dim and ranks, got dim={self.dim} ranks={self.ranks}"
@@ -101,11 +108,11 @@ class ConfigMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConfigMatrix":
-        return cls(
-            dim=int(data["dim"]),
-            ranks=tuple(data["ranks"]),
-            entries=tuple(tuple(row) for row in data["entries"]),
-        )
+        if not isinstance(data, dict):
+            raise MalformedInput(
+                f"certificate JSON must be an object, got {type(data).__name__}"
+            )
+        return cls(dim=data["dim"], ranks=data["ranks"], entries=data["entries"])
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,21 @@ def validate_config(a: ConfigMatrix) -> ValidationReport:
                 diff += x - nxt
         lo += width
     return ValidationReport(True)
+
+
+def require_valid(a: ConfigMatrix) -> None:
+    """Raise InvalidCertificate unless ``a`` passes validate_config.
+
+    A ConfigMatrix is immutable, so a pass is recorded on the instance and
+    each certificate is checked at most once; a failure is not recorded and
+    raises again on every call.
+    """
+    if getattr(a, "_valid", False):
+        return
+    report = validate_config(a)
+    if not report:
+        raise InvalidCertificate(report.message)
+    object.__setattr__(a, "_valid", True)
 
 
 def _check_ranks(ranks: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -412,17 +434,6 @@ def iter_configs(ranks: Sequence[int], dim: int) -> Iterator[ConfigMatrix]:
         yield _from_columns(columns, ranks, dim)
 
 
-def _mu_levels(a: ConfigMatrix) -> tuple[tuple[int, ...], ...]:
-    chain = [()]
-    sums = [0] * a.dim
-    for k, width in enumerate(a.ranks):
-        lo = a.block_start(k)
-        for i in range(a.dim):
-            sums[i] += sum(a.entries[i][lo:lo + width])
-        chain.append(as_partition(sums))
-    return tuple(chain)
-
-
 def mu_chain(a: ConfigMatrix) -> tuple[tuple[int, ...], ...]:
     """Row-sum partitions of the block prefixes, from empty to the full box.
 
@@ -430,10 +441,16 @@ def mu_chain(a: ConfigMatrix) -> tuple[tuple[int, ...], ...]:
     property (iv) guarantees each is already weakly decreasing, and the last
     one is the full ``dim x M`` rectangle.
     """
-    report = validate_config(a)
-    if not report:
-        raise InvalidCertificate(report.message)
-    return _mu_levels(a)
+    require_valid(a)
+    chain = [()]
+    sums = [0] * a.dim
+    lo = 0
+    for width in a.ranks:
+        for i, row in enumerate(a.entries):
+            sums[i] += sum(row[lo:lo + width])
+        lo += width
+        chain.append(as_partition(sums))
+    return tuple(chain)
 
 
 def tableau_cells(a: ConfigMatrix) -> list[list[tuple[int, int]]]:
@@ -442,15 +459,13 @@ def tableau_cells(a: ConfigMatrix) -> list[list[tuple[int, int]]]:
     Returns, for each of the ``dim`` rows, the left-to-right list of
     ``(block, value)`` labels (1-based) filling the full rectangle.
     """
-    report = validate_config(a)
-    if not report:
-        raise InvalidCertificate(report.message)
+    require_valid(a)
     rows: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
-    for k, width in enumerate(a.ranks):
-        blk = a.block(k)
-        for i in range(a.dim):
-            for v in range(width):
-                rows[i].extend([(k + 1, v + 1)] * blk[i][v])
+    labels = [(k + 1, v) for k, width in enumerate(a.ranks)
+              for v in range(1, width + 1)]
+    for label, col in zip(labels, zip(*a.entries)):
+        for row, x in zip(rows, col):
+            row.extend([label] * x)
     return rows
 
 

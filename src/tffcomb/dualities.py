@@ -5,6 +5,13 @@ subspace by its orthogonal complement (ranks dim - L_i, reversed), and the
 Naimark dual keeps the ranks but moves to dimension M - dim with frame bound
 alpha/(alpha-1).  Both lift to explicit bijections on configuration
 matrices, implemented here, so certificate counts are preserved exactly.
+
+The certificate maps read the columns of the matrix directly: the spatial
+dual complements the binary summands of each block, and the Naimark dual
+complements each column's diagram positions, found from running row
+offsets.  Every input and output is validated, through
+``configmat.require_valid``, which checks each immutable certificate at
+most once.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .configmat import ConfigMatrix, _mu_levels, validate_config
+from .configmat import ConfigMatrix, require_valid
 from .errors import (
     AlphaNotGreaterThanOne,
     DegenerateDual,
@@ -84,6 +91,17 @@ def recur_strip(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     return ranks[1:], total - dim
 
 
+def _summands(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Binary summands of a block given by its columns.
+
+    Column ``y`` is read as a multiset of rows (entry ``x`` copies of row
+    ``x``); summand ``j`` takes the j-th smallest row of every column.
+    """
+    return list(zip(*(
+        [x for x, c in enumerate(col) for _ in range(c)] for col in columns
+    )))
+
+
 def decompose_block(block_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Unique decomposition of a certificate block into binary summands.
 
@@ -93,33 +111,16 @@ def decompose_block(block_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     strictly increase along each summand, which is what makes the
     complementary-summand construction well defined.
     """
-    height = len(block_rows)
-    width = len(block_rows[0]) if height else 0
-    per_column: list[list[int]] = []
-    for y in range(width):
-        rows: list[int] = []
-        for x in range(height):
-            rows.extend([x] * block_rows[x][y])
-        per_column.append(rows)
-    count = len(per_column[0]) if per_column else 0
-    if any(len(rows) != count for rows in per_column):
+    columns = list(zip(*block_rows))
+    if len({sum(col) for col in columns}) > 1:
         raise InvalidCertificate("column sums differ inside a block")
-    summands = []
-    for j in range(count):
-        rows = tuple(per_column[y][j] for y in range(width))
-        if any(rows[y] >= rows[y + 1] for y in range(width - 1)):
-            raise InvalidCertificate(
-                "binary summand is not strictly increasing; block violates"
-                " column dominance"
-            )
-        summands.append(rows)
+    summands = _summands(columns)
+    if any(x >= y for rows in summands for x, y in zip(rows, rows[1:])):
+        raise InvalidCertificate(
+            "binary summand is not strictly increasing; block violates"
+            " column dominance"
+        )
     return summands
-
-
-def _require_valid(a: ConfigMatrix) -> None:
-    report = validate_config(a)
-    if not report:
-        raise InvalidCertificate(report.message)
 
 
 def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
@@ -128,54 +129,34 @@ def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
     Each block splits uniquely into binary summands with one unit per column;
     every summand is replaced by the complementary summand on the unused
     rows (in increasing order), and the rebuilt blocks are emitted in
-    reverse order, giving a certificate for (dim-L_K, ..., dim-L_1).
+    reverse order, giving a certificate for (dim-L_K, ..., dim-L_1).  The
+    map works on the columns of ``a``; input and output are validated.
     """
-    _require_valid(a)
+    require_valid(a)
     n = a.dim
     if any(r == n for r in a.ranks):
         raise DegenerateDual(
             "a full-rank block has no complement columns; spatial dual"
             " certificate is degenerate"
         )
-    dual_blocks = []
-    for k in range(len(a.ranks)):
-        width = n - a.ranks[k]
-        rows = [[0] * width for _ in range(n)]
-        for summand in decompose_block(a.block(k)):
-            used = set(summand)
-            free = [x for x in range(n) if x not in used]
-            for y, x in enumerate(free):
-                rows[x][y] += 1
-        dual_blocks.append(rows)
-    dual_blocks.reverse()
-    entries = tuple(
-        tuple(x for blk in dual_blocks for x in blk[i]) for i in range(n)
-    )
+    columns = list(zip(*a.entries))
+    dual_columns: list[list[int]] = []
+    hi = len(columns)
+    for width in reversed(a.ranks):
+        block = [[0] * n for _ in range(n - width)]
+        for summand in _summands(columns[hi - width:hi]):
+            free = [x for x in range(n) if x not in summand]
+            for col, x in zip(block, free):
+                col[x] += 1
+        dual_columns.extend(block)
+        hi -= width
     dual = ConfigMatrix(
         dim=n,
         ranks=tuple(n - r for r in reversed(a.ranks)),
-        entries=entries,
+        entries=tuple(zip(*dual_columns)),
     )
-    _require_valid(dual)
+    require_valid(dual)
     return dual
-
-
-def _occupancy(a: ConfigMatrix) -> list[list[list[int]]]:
-    """Per block, per value, the sorted diagram columns (0-based) holding
-    that value in the union skew tableau encoded by ``a`` (assumed valid)."""
-    chain = _mu_levels(a)
-    occ: list[list[list[int]]] = []
-    for k, width in enumerate(a.ranks):
-        blk = a.block(k)
-        cols: list[list[int]] = [[] for _ in range(width)]
-        prev = chain[k]
-        for i in range(a.dim):
-            pos = prev[i] if i < len(prev) else 0
-            for v in range(width):
-                cols[v].extend(range(pos, pos + blk[i][v]))
-                pos += blk[i][v]
-        occ.append([sorted(c) for c in cols])
-    return occ
 
 
 def config_naimark_dual(a: ConfigMatrix) -> ConfigMatrix:
@@ -184,30 +165,33 @@ def config_naimark_dual(a: ConfigMatrix) -> ConfigMatrix:
     The tableau occupancy of each value is complemented and column-reversed
     inside the M-column strip; stacking the complements (blocks in order,
     values in order) and justifying every column upward yields the dual
-    union tableau, which is read back into a certificate.
+    union tableau, which is read back into a certificate.  The occupancy of
+    column ``(k, v)`` of ``a`` starts at each row's running offset; input
+    and output are validated.
     """
-    _require_valid(a)
+    require_valid(a)
     n, m = a.dim, a.total
     if m == n:
         raise DegenerateDual("bound 1 leaves a zero-dimensional complement")
-    occ = _occupancy(a)
     new_dim = m - n
-    blocks = [
-        [[0] * width for _ in range(new_dim)] for width in a.ranks
-    ]
+    offsets = [0] * n
     height = [0] * m
-    for k, width in enumerate(a.ranks):
-        for v in range(width):
-            filled = set(occ[k][v])
-            for y in range(m):
-                if (m - 1 - y) not in filled:
-                    blocks[k][height[y]][v] += 1
-                    height[y] += 1
-    if any(h != new_dim for h in height):
-        raise InvalidCertificate("complemented columns do not stack evenly")
-    entries = tuple(
-        tuple(x for blk in blocks for x in blk[i]) for i in range(new_dim)
+    dual_columns: list[list[int]] = []
+    for col in zip(*a.entries):
+        free = [True] * m
+        for i, c in enumerate(col):
+            if c:
+                start = m - offsets[i]
+                free[start - c:start] = [False] * c
+                offsets[i] += c
+        out = [0] * new_dim
+        for y, f in enumerate(free):
+            if f:
+                out[height[y]] += 1
+                height[y] += 1
+        dual_columns.append(out)
+    dual = ConfigMatrix(
+        dim=new_dim, ranks=a.ranks, entries=tuple(zip(*dual_columns))
     )
-    dual = ConfigMatrix(dim=new_dim, ranks=a.ranks, entries=entries)
-    _require_valid(dual)
+    require_valid(dual)
     return dual

@@ -25,6 +25,10 @@ class InvalidCertificate(TFFCombError):
     """Matrix fails the configuration-matrix properties."""
 
 
+class MalformedInput(TFFCombError):
+    """Input data does not have the documented layout (e.g. JSON not an object)."""
+
+
 class SizeMismatch(TFFCombError):
     """Partition size is incompatible with the requested completion."""
 

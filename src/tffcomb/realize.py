@@ -20,6 +20,7 @@ from .errors import (
     ConvergenceFailure,
     InvalidMultiplicity,
     InvalidParameter,
+    MalformedInput,
     NotATFFSequence,
 )
 from .partitions import pad
@@ -74,6 +75,10 @@ class ProjectionSet:
 
     @classmethod
     def from_json_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "ProjectionSet":
+        if not isinstance(data, dict):
+            raise MalformedInput(
+                f"ProjectionSet JSON must be an object, got {type(data).__name__}"
+            )
         blocks = []
         for item in data["blocks"]:
             cols = np.array(item["basis"], dtype=float).T

@@ -3,14 +3,23 @@
 These deliberately avoid the package's search machinery: the counter below
 enumerates raw integer matrices column by column (pruning only on column
 sums and row budgets) and filters by re-checking the defining properties on
-the complete matrix, and the chain counter multiplies skew-tableau counts
-from the standalone enumeration oracle.
+the complete matrix, the chain counter multiplies skew-tableau counts
+from the standalone enumeration oracle, and the reference dualities copy
+every block out of the matrix and rebuild the mu-chain, as the package's
+first implementation of the certificate dualities did.
 """
 
 from itertools import product
 
 from tffcomb import ConfigMatrix, lr_oracle, validate_config
-from tffcomb.partitions import conjugate, contains, pad, partitions_in_box
+from tffcomb.errors import DegenerateDual, InvalidCertificate
+from tffcomb.partitions import (
+    as_partition,
+    conjugate,
+    contains,
+    pad,
+    partitions_in_box,
+)
 
 
 def _compositions(total, length):
@@ -98,3 +107,124 @@ def hook_completion_oracle(lam, k, width, dim):
                     grown.add(nu)
         shapes = grown
     return ((width,) * dim) in shapes
+
+
+def reference_decompose_block(block_rows):
+    """Binary summands of a block, read row by row from a copy of it."""
+    height = len(block_rows)
+    width = len(block_rows[0]) if height else 0
+    per_column = []
+    for y in range(width):
+        rows = []
+        for x in range(height):
+            rows.extend([x] * block_rows[x][y])
+        per_column.append(rows)
+    count = len(per_column[0]) if per_column else 0
+    if any(len(rows) != count for rows in per_column):
+        raise InvalidCertificate("column sums differ inside a block")
+    summands = []
+    for j in range(count):
+        rows = tuple(per_column[y][j] for y in range(width))
+        if any(rows[y] >= rows[y + 1] for y in range(width - 1)):
+            raise InvalidCertificate(
+                "binary summand is not strictly increasing; block violates"
+                " column dominance"
+            )
+        summands.append(rows)
+    return summands
+
+
+def _require_valid(a):
+    report = validate_config(a)
+    if not report:
+        raise InvalidCertificate(report.message)
+
+
+def reference_spatial_dual(a):
+    """Spatial dual through block copies and summand sets."""
+    _require_valid(a)
+    n = a.dim
+    if any(r == n for r in a.ranks):
+        raise DegenerateDual(
+            "a full-rank block has no complement columns; spatial dual"
+            " certificate is degenerate"
+        )
+    dual_blocks = []
+    for k in range(len(a.ranks)):
+        width = n - a.ranks[k]
+        rows = [[0] * width for _ in range(n)]
+        for summand in reference_decompose_block(a.block(k)):
+            used = set(summand)
+            free = [x for x in range(n) if x not in used]
+            for y, x in enumerate(free):
+                rows[x][y] += 1
+        dual_blocks.append(rows)
+    dual_blocks.reverse()
+    entries = tuple(
+        tuple(x for blk in dual_blocks for x in blk[i]) for i in range(n)
+    )
+    dual = ConfigMatrix(
+        dim=n,
+        ranks=tuple(n - r for r in reversed(a.ranks)),
+        entries=entries,
+    )
+    _require_valid(dual)
+    return dual
+
+
+def _mu_levels(a):
+    chain = [()]
+    sums = [0] * a.dim
+    for k, width in enumerate(a.ranks):
+        lo = a.block_start(k)
+        for i in range(a.dim):
+            sums[i] += sum(a.entries[i][lo:lo + width])
+        chain.append(as_partition(sums))
+    return tuple(chain)
+
+
+def _occupancy(a):
+    """Per block, per value, the sorted diagram columns (0-based) holding
+    that value in the union skew tableau encoded by ``a`` (assumed valid)."""
+    chain = _mu_levels(a)
+    occ = []
+    for k, width in enumerate(a.ranks):
+        blk = a.block(k)
+        cols = [[] for _ in range(width)]
+        prev = chain[k]
+        for i in range(a.dim):
+            pos = prev[i] if i < len(prev) else 0
+            for v in range(width):
+                cols[v].extend(range(pos, pos + blk[i][v]))
+                pos += blk[i][v]
+        occ.append([sorted(c) for c in cols])
+    return occ
+
+
+def reference_naimark_dual(a):
+    """Naimark dual through block copies, the mu-chain and occupancy sets."""
+    _require_valid(a)
+    n, m = a.dim, a.total
+    if m == n:
+        raise DegenerateDual("bound 1 leaves a zero-dimensional complement")
+    occ = _occupancy(a)
+    new_dim = m - n
+    blocks = [
+        [[0] * width for _ in range(new_dim)] for width in a.ranks
+    ]
+    height = [0] * m
+    for k, width in enumerate(a.ranks):
+        for v in range(width):
+            filled = set(occ[k][v])
+            for y in range(m):
+                if (m - 1 - y) not in filled:
+                    blocks[k][height[y]][v] += 1
+                    height[y] += 1
+    if any(h != new_dim for h in height):
+        raise InvalidCertificate("complemented columns do not stack evenly")
+    entries = tuple(
+        tuple(x for blk in blocks for x in blk[i]) for i in range(new_dim)
+    )
+    dual = ConfigMatrix(dim=new_dim, ranks=a.ranks, entries=entries)
+    _require_valid(dual)
+    return dual

@@ -282,6 +282,41 @@ class TestRealizeVerify:
         code, _, err = run(capsys, "dual-config", "--in", str(bad), "--spatial")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify",), ("tableau",), ("dual-config", "--spatial")],
+        ids=["verify", "tableau", "dual-config"],
+    )
+    def test_json_not_an_object_exit_2(self, capsys, tmp_path, argv):
+        listed = tmp_path / "l.json"
+        listed.write_text("[1, 2]")
+        code, _, err = run(capsys, argv[0], "--in", str(listed), *argv[1:])
+        assert code == 2
+        assert "must be an object" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("tableau",), ("dual-config", "--spatial")],
+        ids=["tableau", "dual-config"],
+    )
+    def test_non_integral_certificate_exit_2(self, capsys, tmp_path, argv):
+        # integer parts of these entries form a certificate for (1,1,1)/2,
+        # so truncating them would be accepted
+        frac = tmp_path / "g.json"
+        frac.write_text(json.dumps({
+            "dim": 2.0, "ranks": [1, 1, 1],
+            "entries": [[2.7, 1.7, 0.7], [0.7, 1.7, 2.7]],
+        }))
+        code, _, err = run(capsys, argv[0], "--in", str(frac), *argv[1:])
+        assert code == 2
+        assert "non-integral" in err
+        whole = tmp_path / "w.json"
+        whole.write_text(json.dumps({
+            "dim": 2.0, "ranks": [1, 1, 1],
+            "entries": [[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]],
+        }))
+        code, _, _ = run(capsys, argv[0], "--in", str(whole), *argv[1:])
+        assert code == 0
+
     def test_byte_identical_repeat(self, capsys):
         args = ["realize", "--dim", "4", "--ranks", "2,2,2,1",
                 "--seed", "7", "--json"]

@@ -21,6 +21,8 @@ from refdata import (
 from oracles import brute_count_configs, chain_count_configs, hook_completion_oracle
 from tffcomb import (
     ConfigMatrix,
+    config_naimark_dual,
+    config_spatial_dual,
     count_configs,
     find_config,
     hook_completion_feasible,
@@ -35,7 +37,9 @@ from tffcomb import (
 from tffcomb.errors import (
     DimensionMismatch,
     DoesNotFit,
+    InvalidCertificate,
     InvalidRanks,
+    MalformedInput,
     InvalidShape,
     SizeMismatch,
 )
@@ -142,6 +146,54 @@ class TestValidate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ConfigMatrix(2, (1, 1), ((1, 1, 1), (1, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "dim, ranks, entries",
+        [
+            (2, (1, 1, 1), ((2.7, 1.7, 0.7), (0.7, 1.7, 2.7))),
+            (2.5, (1, 1, 1), ((1, 1, 1), (2, 1, 0))),
+            (2, (1.5, 1.5), ((1, 1, 1), (2, 1, 0))),
+            (2, (1, 1, 1), (("2", 1, 0), (1, 1, 1))),
+            (2, (1, 1, 1), ((None, 1, 0), (1, 1, 1))),
+            (2, (1, 1, 1), ((float("inf"), 1, 0), (1, 1, 1))),
+        ],
+        ids=["entries", "dim", "ranks", "string", "null", "inf"],
+    )
+    def test_non_integral_data_rejected(self, dim, ranks, entries):
+        with pytest.raises(InvalidCertificate):
+            ConfigMatrix(dim, ranks, entries)
+
+    def test_integral_values_normalized(self):
+        rows = [list(map(float, row)) for row in CERT_4x7_RANKS_2221.entries]
+        cert = ConfigMatrix(4.0, [2.0, 2, 2, 1], rows)
+        assert cert == CERT_4x7_RANKS_2221
+        assert type(cert.dim) is int and type(cert.entries[0][0]) is int
+
+    def test_json_must_be_an_object(self):
+        with pytest.raises(MalformedInput):
+            ConfigMatrix.from_json_dict([1, 2])
+
+
+class TestValidateOnce:
+    def test_invalid_certificate_raises_on_every_call(self):
+        bad = DEFECTIVE_CERT_5x12_RANKS_3333
+        for _ in range(3):
+            for use in (config_spatial_dual, config_naimark_dual,
+                        mu_chain, tableau_cells):
+                with pytest.raises(InvalidCertificate):
+                    use(bad)
+
+    def test_validated_certificate_unchanged(self):
+        def fresh():
+            return ConfigMatrix(4, (2, 2, 2, 1), CERT_4x7_RANKS_2221.entries)
+
+        checked = fresh()
+        config_spatial_dual(checked)
+        plain = fresh()
+        assert checked == plain and hash(checked) == hash(plain)
+        assert repr(checked) == repr(plain)
+        assert checked.to_json_dict() == plain.to_json_dict()
+        assert ConfigMatrix.from_json_dict(checked.to_json_dict()) == plain
 
 
 class TestFindConfig:

@@ -2,6 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    reference_decompose_block,
+    reference_naimark_dual,
+    reference_spatial_dual,
+)
 from refdata import (
     BLOCK2_SUMMANDS_5x8,
     CERT_4x7_RANKS_2221,
@@ -25,6 +30,7 @@ from tffcomb import (
 from tffcomb.errors import (
     AlphaNotGreaterThanOne,
     DegenerateDual,
+    InvalidCertificate,
     PreconditionNotMet,
 )
 from tffcomb.partitions import partitions_of
@@ -134,10 +140,17 @@ class TestBlockDecomposition:
     def test_single_column(self):
         assert decompose_block([[0], [4], [0], [0]]) == [(1,)] * 4
 
+    def test_malformed_blocks_rejected(self):
+        with pytest.raises(InvalidCertificate):
+            decompose_block([[1, 0], [1, 1]])
+        with pytest.raises(InvalidCertificate):
+            decompose_block([[0, 1], [1, 0]])
+
 
 class TestConfigSpatial:
     def test_reference_pair_exact(self):
         assert config_spatial_dual(CERT_4x7_RANKS_2221) == SPATIAL_DUAL_4x9
+        assert reference_spatial_dual(CERT_4x7_RANKS_2221) == SPATIAL_DUAL_4x9
 
     def test_round_trip(self):
         dual = config_spatial_dual(CERT_4x7_RANKS_2221)
@@ -152,6 +165,7 @@ class TestConfigSpatial:
 class TestConfigNaimark:
     def test_reference_pair_exact(self):
         assert config_naimark_dual(CERT_4x7_RANKS_2221) == NAIMARK_DUAL_3x7
+        assert reference_naimark_dual(CERT_4x7_RANKS_2221) == NAIMARK_DUAL_3x7
 
     def test_round_trip(self):
         dual = config_naimark_dual(CERT_4x7_RANKS_2221)
@@ -166,7 +180,8 @@ class TestConfigNaimark:
 class TestBijections:
     def test_counts_and_involutions_exhaustive(self):
         # rank sequences with total <= 7 in dimensions up to 5; the wider
-        # sweep (total <= 9) runs in the acceptance suite
+        # sweep (total <= 9) runs in the acceptance suite.  Every image is
+        # also compared with the block-copy reference maps.
         from tffcomb import iter_configs
 
         for total in range(2, 8):
@@ -177,12 +192,19 @@ class TestBijections:
                         continue
                     certs = list(iter_configs(ranks, dim))
                     assert len(certs) == base
+                    for cert in certs:
+                        for k in range(len(ranks)):
+                            block = cert.block(k)
+                            assert decompose_block(block) == (
+                                reference_decompose_block(block)
+                            )
                     if ranks[0] < dim:
                         sd_ranks, _ = spatial_dual(ranks, dim)
                         assert count_configs(sd_ranks, dim) == base
                         images = set()
                         for cert in certs:
                             dual = config_spatial_dual(cert)
+                            assert dual == reference_spatial_dual(cert)
                             assert validate_config(dual).ok
                             assert dual.ranks == sd_ranks
                             assert config_spatial_dual(dual) == cert
@@ -193,6 +215,7 @@ class TestBijections:
                         images = set()
                         for cert in certs:
                             dual = config_naimark_dual(cert)
+                            assert dual == reference_naimark_dual(cert)
                             assert validate_config(dual).ok
                             assert dual.dim == total - dim
                             assert config_naimark_dual(dual) == cert
