@@ -50,7 +50,6 @@ from .realize import (
     verify_tff,
 )
 from .tffcore import (
-    TFFInstance,
     decide,
     enumerate_tff,
     fillmore_feasible,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigMatrix",
     "ProjectionSet",
-    "TFFInstance",
     "ValidationReport",
     "VerificationReport",
     "alpha_reduce",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import configmat, dualities, realize, tffcore
 from .configmat import ConfigMatrix
-from .errors import ConvergenceFailure, InvalidAlpha, TFFCombError
+from .errors import ConvergenceFailure, TFFCombError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -30,8 +30,6 @@ def _parse_ranks(text: str) -> tuple[int, ...]:
         parts = tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad rank list {text!r}")
-    if not parts or any(x <= 0 for x in parts):
-        raise argparse.ArgumentTypeError("ranks must be positive integers")
     return parts
 
 
@@ -42,7 +40,8 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 
-def _canonical_ranks(ranks: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_ranks(ranks: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    configmat.check_instance(ranks, dim)
     ordered = tuple(sorted(ranks, reverse=True))
     if ordered != ranks:
         print(
@@ -81,7 +80,7 @@ def _load_config(path: str) -> ConfigMatrix:
 
 
 def _cmd_decide(args) -> int:
-    ranks = _canonical_ranks(args.ranks)
+    ranks = _canonical_ranks(args.ranks, args.dim)
     tight, cert = tffcore.decide(ranks, args.dim, certificate=True)
     alpha = Fraction(sum(ranks), args.dim)
     payload = {
@@ -103,7 +102,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    ranks = _canonical_ranks(args.ranks)
+    ranks = _canonical_ranks(args.ranks, args.dim)
     count = configmat.count_configs(ranks, args.dim)
     payload = {"dim": args.dim, "ranks": list(ranks), "count": count}
     _emit(payload, str(count), args.json)
@@ -111,7 +110,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    ranks = _canonical_ranks(args.ranks)
+    ranks = _canonical_ranks(args.ranks, args.dim)
     cert = configmat.find_config(ranks, args.dim)
     if cert is None:
         print(f"no certificate for {list(ranks)} in dimension {args.dim}",
@@ -128,7 +127,7 @@ def _cmd_tableau(args) -> int:
         print("tableau: need --ranks and --dim (or --in)", file=sys.stderr)
         return EXIT_USAGE
     else:
-        ranks = _canonical_ranks(args.ranks)
+        ranks = _canonical_ranks(args.ranks, args.dim)
         cert = configmat.find_config(ranks, args.dim)
         if cert is None:
             print(f"no certificate for {list(ranks)} in dimension {args.dim}",
@@ -157,6 +156,9 @@ def _maximal_payload(alpha: Fraction, dim: int) -> dict:
 
 def _cmd_maximal(args) -> int:
     if args.all:
+        if args.max_dim < 1:
+            print("maximal: --max-dim must be positive", file=sys.stderr)
+            return EXIT_USAGE
         tables = []
         for dim in range(1, args.max_dim + 1):
             for total in range(dim, 2 * dim + 1):
@@ -208,7 +210,7 @@ def _cmd_dual(args) -> int:
     if args.ranks is None:
         print("dual: need --ranks", file=sys.stderr)
         return EXIT_USAGE
-    ranks = _canonical_ranks(args.ranks)
+    ranks = _canonical_ranks(args.ranks, args.dim)
     if args.spatial:
         kind = "spatial"
         new_ranks, new_dim = dualities.spatial_dual(ranks, args.dim)
@@ -244,10 +246,10 @@ def _cmd_dual_config(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
-    if args.dim < 1:
-        raise InvalidAlpha(f"dimension must be positive, got {args.dim}")
-    ranks = _canonical_ranks(args.ranks)
-    alpha = args.alpha if args.alpha is not None else Fraction(sum(ranks), args.dim)
+    ranks = _canonical_ranks(args.ranks, args.dim)
+    alpha = Fraction(sum(ranks), args.dim)
+    if args.alpha is not None:
+        alpha = configmat.check_alpha(args.alpha, args.dim)[0]
     padded = ranks + (0, 0, 0)
     results: dict[str, bool | None] = {}
     if 1 < alpha < 2:
@@ -311,7 +313,7 @@ def _cmd_two_proj(args) -> int:
 def _cmd_realize(args) -> int:
     from .errors import NotATFFSequence
 
-    ranks = _canonical_ranks(args.ranks)
+    ranks = _canonical_ranks(args.ranks, args.dim)
     try:
         pset = realize.realize_tff(
             ranks, args.dim, seed=args.seed, tol=args.tol,

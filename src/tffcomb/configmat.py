@@ -35,12 +35,14 @@ of the products of the two counts over complementary pairs of shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
     DoesNotFit,
+    InvalidAlpha,
     InvalidCertificate,
     InvalidRanks,
     InvalidShape,
@@ -86,18 +88,11 @@ class ConfigMatrix:
         """Number of columns M."""
         return sum(self.ranks)
 
-    def block_start(self, k: int) -> int:
-        """First column index (0-based) of block ``k`` (0-based)."""
-        return sum(self.ranks[:k])
-
     def block(self, k: int) -> list[list[int]]:
         """Rows of column block ``k`` (0-based)."""
-        lo = self.block_start(k)
+        lo = sum(self.ranks[:k])
         hi = lo + self.ranks[k]
         return [list(row[lo:hi]) for row in self.entries]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,8 +195,21 @@ def require_valid(a: ConfigMatrix) -> None:
     object.__setattr__(a, "_valid", True)
 
 
-def _check_ranks(ranks: Sequence[int], dim: int) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
+def check_instance(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
+    """``(ranks, dim)`` as ints, the ranks in the given order.
+
+    Integral values such as ``2.0`` are accepted.  Raises InvalidRanks for
+    non-integral data, no ranks, a rank or dimension that is not positive,
+    or a rank above the dimension; a bound below 1 is not an error.
+    """
+    try:
+        raw = (tuple(ranks), dim)
+        ints = (tuple(map(int, raw[0])), int(dim))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidRanks(f"non-integral instance: {exc}") from exc
+    if ints != raw:
+        raise InvalidRanks(f"non-integral instance: ranks={raw[0]!r}, dim={dim!r}")
+    ranks, dim = ints
     if not ranks:
         raise InvalidRanks("rank sequence is empty")
     if any(r <= 0 for r in ranks):
@@ -210,7 +218,25 @@ def _check_ranks(ranks: Sequence[int], dim: int) -> tuple[int, ...]:
         raise InvalidRanks(f"dimension must be positive, got {dim}")
     if max(ranks) > dim:
         raise InvalidRanks(f"largest rank {max(ranks)} exceeds dimension {dim}")
-    return ranks
+    return ranks, dim
+
+
+def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
+    """``(alpha, dim, alpha*dim)`` as a Fraction and two ints.  Raises
+    InvalidAlpha unless ``dim`` is a positive integer (``4.0`` is accepted),
+    ``alpha >= 1`` is rational and ``alpha * dim`` is an integer."""
+    try:
+        alpha, whole = Fraction(alpha), int(dim)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidAlpha(f"bad frame bound or dimension: {exc}") from exc
+    if whole != dim or whole < 1:
+        raise InvalidAlpha(f"dimension must be a positive integer, got {dim!r}")
+    if alpha < 1:
+        raise InvalidAlpha(f"frame bound must be at least 1, got {alpha}")
+    total = alpha * whole
+    if total.denominator != 1:
+        raise InvalidAlpha(f"alpha*dim = {total} is not an integer")
+    return alpha, whole, total.numerator
 
 
 def _column_options(
@@ -390,7 +416,7 @@ def find_config(ranks: Sequence[int], dim: int) -> ConfigMatrix | None:
     greatest certificate under column-major comparison.  Blocks are laid out
     in the order given (the count and existence do not depend on the order).
     """
-    ranks = _check_ranks(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
     columns = next(_Search(ranks, dim).enumerate(), None)
     return None if columns is None else _from_columns(columns, ranks, dim)
 
@@ -405,7 +431,7 @@ def count_configs(ranks: Sequence[int], dim: int) -> int:
     complement, with coefficient 1.  So the count is the sum over mu of
     ``left[mu] * right[complement of mu]``.
     """
-    ranks = _check_ranks(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
     m = sum(ranks)
     halves: tuple[list[int], list[int]] = ([], [])
     for r in sorted(ranks, reverse=True):
@@ -429,7 +455,7 @@ def iter_configs(ranks: Sequence[int], dim: int) -> Iterator[ConfigMatrix]:
     so its cost grows with the count; count_configs gives bare counts without
     building any certificate.
     """
-    ranks = _check_ranks(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
     for columns in _Search(ranks, dim).enumerate():
         yield _from_columns(columns, ranks, dim)
 

@@ -19,34 +19,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .configmat import ConfigMatrix, require_valid
+from .configmat import ConfigMatrix, check_alpha, check_instance, require_valid
 from .errors import (
     AlphaNotGreaterThanOne,
     DegenerateDual,
-    InvalidAlpha,
     InvalidCertificate,
-    InvalidRanks,
     PreconditionNotMet,
 )
-from .partitions import as_partition
 
 Rational = Fraction | int
-
-
-def _checked_partition(ranks: Sequence[int], dim: int) -> tuple[int, ...]:
-    ranks = as_partition(ranks)
-    if not ranks:
-        raise InvalidRanks("rank sequence is empty")
-    if ranks[0] > dim:
-        raise InvalidRanks(f"largest rank {ranks[0]} exceeds dimension {dim}")
-    return ranks
 
 
 def spatial_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     """Complementary rank sequence (dim - L_K, ..., dim - L_1) in the same
     dimension; full-rank entries drop out.  Raises DegenerateDual when every
     rank equals the dimension."""
-    ranks = _checked_partition(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
+    ranks = tuple(sorted(ranks, reverse=True))
     dual = tuple(dim - r for r in reversed(ranks) if r < dim)
     if not dual:
         raise DegenerateDual(
@@ -57,7 +46,8 @@ def spatial_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
 
 def naimark_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     """Same ranks in dimension M - dim (requires frame bound > 1)."""
-    ranks = _checked_partition(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
+    ranks = tuple(sorted(ranks, reverse=True))
     total = sum(ranks)
     if total <= dim:
         raise AlphaNotGreaterThanOne(
@@ -68,21 +58,19 @@ def naimark_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
 
 def alpha_reduce(alpha: Rational, dim: int) -> tuple[Fraction, int]:
     """Conjugate parameters (alpha~, dim~) with 1/alpha + 1/alpha~ = 1 and
-    dim~ = dim*(alpha-1); both instances carry the same tight sequences."""
-    alpha = Fraction(alpha)
-    if alpha <= 1:
+    dim~ = dim*(alpha-1); both instances carry the same tight sequences.
+    Raises AlphaNotGreaterThanOne unless alpha > 1."""
+    if Fraction(alpha) <= 1:
         raise AlphaNotGreaterThanOne(f"bound {alpha} is not > 1")
-    total = alpha * dim
-    if total.denominator != 1:
-        raise InvalidAlpha(f"alpha*dim = {total} is not an integer")
-    new_dim = int(total) - dim
-    return alpha / (alpha - 1), new_dim
+    alpha, dim, total = check_alpha(alpha, dim)
+    return alpha / (alpha - 1), total - dim
 
 
 def recur_strip(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     """Drop a largest rank equal to dim*(alpha-1): tightness of the rest in
     dimension dim*(alpha-1) is equivalent to tightness of the original."""
-    ranks = _checked_partition(ranks, dim)
+    ranks, dim = check_instance(ranks, dim)
+    ranks = tuple(sorted(ranks, reverse=True))
     total = sum(ranks)
     if ranks[0] != total - dim:
         raise PreconditionNotMet(

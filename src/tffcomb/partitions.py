@@ -25,10 +25,6 @@ def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
-def size(p: Sequence[int]) -> int:
-    return sum(p)
-
-
 def pad(p: Sequence[int], length: int) -> tuple[int, ...]:
     """Zero-pad ``p`` on the right to the requested length."""
     if len(p) > length:

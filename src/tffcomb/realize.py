@@ -15,11 +15,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .configmat import ConfigMatrix, mu_chain
+from .configmat import ConfigMatrix, check_instance, mu_chain
 from .errors import (
     ConvergenceFailure,
     InvalidMultiplicity,
     InvalidParameter,
+    InvalidRanks,
     MalformedInput,
     NotATFFSequence,
 )
@@ -79,15 +80,22 @@ class ProjectionSet:
             raise MalformedInput(
                 f"ProjectionSet JSON must be an object, got {type(data).__name__}"
             )
+        items = data["blocks"]
+        if not isinstance(items, list) or not all(isinstance(b, dict) for b in items):
+            raise MalformedInput("ProjectionSet blocks must be a list of objects")
+        try:
+            ranks, dim = check_instance([item["rank"] for item in items], data["dim"])
+        except InvalidRanks as exc:
+            raise MalformedInput(f"ProjectionSet: {exc}") from exc
         blocks = []
-        for item in data["blocks"]:
+        for item, rank in zip(items, ranks):
             cols = np.array(item["basis"], dtype=float).T
-            if cols.shape != (int(data["dim"]), int(item["rank"])):
+            if cols.shape != (dim, rank):
                 raise ValueError(
                     f"basis shape {cols.shape} does not match dim/rank"
                 )
             blocks.append(cols)
-        return cls(dim=int(data["dim"]), blocks=tuple(blocks), tol=tol)
+        return cls(dim=dim, blocks=tuple(blocks), tol=tol)
 
     def to_csv(self) -> str:
         """Concatenated basis matrix, one comma-separated line per row."""
@@ -242,19 +250,18 @@ def realize_tff(
         )
     if not tol >= 0:
         raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
-    ranks = tuple(sorted((int(r) for r in ranks), reverse=True))
+    ranks, dim = check_instance(ranks, dim)
+    ranks = tuple(sorted(ranks, reverse=True))
     if not decide(ranks, dim):
         raise NotATFFSequence(
             f"{ranks} admits no tight fusion frame in dimension {dim}"
         )
-    total = sum(ranks)
-    alpha = total / dim
+    alpha = sum(ranks) / dim
     kblocks = len(ranks)
+    eye = np.eye(dim)
     if all(r == dim for r in ranks):
-        eye = np.eye(dim)
         return ProjectionSet(dim=dim, blocks=(eye,) * kblocks, tol=tol)
     rng = np.random.default_rng(seed)
-    eye = np.eye(dim)
     best = np.inf
     for _ in range(max_restarts):
         bases = [_orthonormal(rng, dim, r) for r in ranks]

@@ -10,54 +10,38 @@ the certificate search, everything below is inherited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .configmat import ConfigMatrix, _check_ranks, find_config
-from .dualities import config_naimark_dual, config_spatial_dual
-from .errors import AlphaOutOfRange, InvalidAlpha, InvalidRanks
+from .configmat import ConfigMatrix, check_alpha, check_instance, find_config
+from .dualities import (
+    alpha_reduce,
+    config_naimark_dual,
+    config_spatial_dual,
+    naimark_dual,
+    spatial_dual,
+)
+from .errors import AlphaOutOfRange, InvalidRanks
 from .partitions import as_partition, dominance_leq, partitions_of
 
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
-class TFFInstance:
-    """A rank sequence together with its ambient dimension and derived data."""
-
-    dim: int
-    ranks: tuple[int, ...]
-    total: int = field(init=False)
-    alpha: Fraction = field(init=False)
-    sigma: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        ranks = as_partition(self.ranks)
-        if not ranks:
-            raise InvalidRanks("rank sequence is empty")
-        if ranks[0] > self.dim:
-            raise InvalidRanks(
-                f"largest rank {ranks[0]} exceeds dimension {self.dim}"
-            )
-        total = sum(ranks)
-        if total < self.dim:
-            raise InvalidRanks(
-                f"total rank {total} below dimension {self.dim}: bound < 1"
-            )
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "alpha", Fraction(total, self.dim))
-        sigma = []
-        acc = 0
-        for r in ranks:
-            acc += r
-            sigma.append(acc)
-        object.__setattr__(self, "sigma", tuple(sigma))
-
-
-def _diag_block(dim: int) -> list[tuple[int, ...]]:
-    return [tuple(dim if i == v else 0 for v in range(dim)) for i in range(dim)]
+def _add_identity_blocks(
+    cert: ConfigMatrix | None, count: int, dim: int
+) -> ConfigMatrix:
+    """``cert`` (None for no blocks) behind ``count`` full-rank blocks, each
+    the identity summand: ``dim`` boxes of value v in row v."""
+    rows = cert.entries if cert else ((),) * dim
+    return ConfigMatrix(
+        dim=dim,
+        ranks=(dim,) * count + (cert.ranks if cert else ()),
+        entries=tuple(
+            tuple(dim if i == v else 0 for _ in range(count) for v in range(dim))
+            + row
+            for i, row in enumerate(rows)
+        ),
+    )
 
 
 def decide(
@@ -68,7 +52,7 @@ def decide(
     The instance descends through tightness-preserving moves, in the manner
     of Euclid's algorithm, with total rank M and dimension N:
 
-    - full ranks peel off as identity summands;
+    - full ranks peel off as identity summands, and no ranks left is tight;
     - M < N is not tight, and M = N is tight (an orthogonal decomposition);
     - the largest rank must fit in the Naimark complement, L_1 <= M - N;
     - the spatial dual is taken when it shrinks M (K*N - M < M);
@@ -82,75 +66,48 @@ def decide(
     moves (configuration-matrix dualities are exact involutions, and a
     peeled identity summand re-enters as a forced diagonal block).
     """
-    ranks = tuple(sorted(_check_ranks(ranks, dim), reverse=True))
+    ranks, dim = check_instance(ranks, dim)
+    ranks = tuple(sorted(ranks, reverse=True))
 
     def outcome(tight: bool, cert: ConfigMatrix | None):
         return (tight, cert) if certificate else tight
 
     trail: list[tuple] = []
-    cur_ranks, cur_dim = ranks, dim
-    while True:
-        full = cur_ranks.count(cur_dim)
-        if 0 < full < len(cur_ranks):
-            trail.append(("peel", full, cur_dim))
-            cur_ranks = cur_ranks[full:]
+    while ranks:
+        full = ranks.count(dim)
+        total = sum(ranks)
+        if full:
+            trail.append((_add_identity_blocks, full, dim))
+            ranks = ranks[full:]
             continue
-        total = sum(cur_ranks)
-        if total < cur_dim:
-            return outcome(False, None)
-        if full or total == cur_dim:
-            if not certificate:
-                return outcome(True, None)
+        if total <= dim:
+            if total < dim:
+                return outcome(False, None)
             break
-        if cur_ranks[0] > total - cur_dim:
+        co_ranks, co_dim = naimark_dual(ranks, dim)
+        if ranks[0] > co_dim:
             return outcome(False, None)
-        if len(cur_ranks) * cur_dim - total < total:
-            trail.append(("spatial",))
-            cur_ranks = tuple(cur_dim - r for r in reversed(cur_ranks))
-        elif total < 2 * cur_dim:
-            trail.append(("naimark",))
-            cur_dim = total - cur_dim
-        elif not k_block_bound(
-            cur_ranks, total - cur_dim, Fraction(total, total - cur_dim)
-        ):
+        if len(ranks) * dim - total < total:
+            trail.append((config_spatial_dual,))
+            ranks, dim = spatial_dual(ranks, dim)
+        elif co_dim < dim:
+            trail.append((config_naimark_dual,))
+            ranks, dim = co_ranks, co_dim
+        elif not k_block_bound(co_ranks, co_dim, Fraction(total, co_dim)):
             return outcome(False, None)
         else:
             break
 
-    if full:
-        # all remaining ranks are full: identity summands
-        cert = ConfigMatrix(
-            dim=cur_dim,
-            ranks=cur_ranks,
-            entries=tuple(
-                tuple(x for _ in cur_ranks for x in row)
-                for row in _diag_block(cur_dim)
-            ),
-        )
-    else:
-        cert = find_config(cur_ranks, cur_dim)
+    cert = None
+    # M = N is tight without a search; only its certificate needs one
+    if ranks and (certificate or total > dim):
+        cert = find_config(ranks, dim)
         if cert is None:
             return outcome(False, None)
-        if not certificate:
-            return outcome(True, None)
-
-    for op in reversed(trail):
-        if op[0] == "naimark":
-            cert = config_naimark_dual(cert)
-        elif op[0] == "spatial":
-            cert = config_spatial_dual(cert)
-        else:
-            _, count, peel_dim = op
-            diag = _diag_block(peel_dim)
-            cert = ConfigMatrix(
-                dim=peel_dim,
-                ranks=(peel_dim,) * count + cert.ranks,
-                entries=tuple(
-                    tuple(x for _ in range(count) for x in diag[i])
-                    + cert.entries[i]
-                    for i in range(peel_dim)
-                ),
-            )
+    if not certificate:
+        return outcome(True, None)
+    for lift, *args in reversed(trail):
+        cert = lift(cert, *args)
     return outcome(True, cert)
 
 
@@ -267,17 +224,6 @@ def unique_maximal(alpha: Rational, dim: int) -> tuple[int, ...] | None:
     return None
 
 
-def _check_alpha(alpha: Fraction, dim: int) -> int:
-    if dim < 1:
-        raise InvalidAlpha(f"dimension must be positive, got {dim}")
-    if alpha < 1:
-        raise InvalidAlpha(f"frame bound must be at least 1, got {alpha}")
-    total = alpha * dim
-    if total.denominator != 1:
-        raise InvalidAlpha(f"alpha*dim = {total} is not an integer")
-    return total.numerator
-
-
 def maximal_elements(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
     """All dominance-maximal tight sequences for the given (alpha, dim).
 
@@ -288,13 +234,11 @@ def maximal_elements(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
     search; integer bounds have the closed-form answer; other bounds reduce
     into (1, 2) without changing the set of sequences.
     """
-    alpha = Fraction(alpha)
-    total = _check_alpha(alpha, dim)
+    alpha, dim, total = check_alpha(alpha, dim)
     if alpha.denominator == 1:
         return [unique_maximal(alpha, dim)]
     if alpha > 2:
-        reduced_dim = total - dim
-        return maximal_elements(Fraction(total, reduced_dim), reduced_dim)
+        return maximal_elements(*alpha_reduce(alpha, dim))
     accepted: list[tuple[int, ...]] = []
     for cand in partitions_of(total, max_part=dim):
         if any(dominance_leq(cand, top) for top in accepted):
@@ -312,8 +256,7 @@ def maximal_elements(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
 def enumerate_tff(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
     """Every tight sequence for (alpha, dim), in descending lexicographic
     order: the downward dominance closure of the maximal elements."""
-    alpha = Fraction(alpha)
-    total = _check_alpha(alpha, dim)
+    alpha, dim, total = check_alpha(alpha, dim)
     tops = maximal_elements(alpha, dim)
     return [
         cand

@@ -176,7 +176,7 @@ def _mu_levels(a):
     chain = [()]
     sums = [0] * a.dim
     for k, width in enumerate(a.ranks):
-        lo = a.block_start(k)
+        lo = sum(a.ranks[:k])
         for i in range(a.dim):
             sums[i] += sum(a.entries[i][lo:lo + width])
         chain.append(as_partition(sums))

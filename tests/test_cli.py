@@ -109,6 +109,11 @@ class TestMaximal:
         assert cells[(3, "5/3")] == [[2, 1, 1, 1]]
         assert cells[(1, "2")] == [[1, 1]]
 
+    @pytest.mark.parametrize("max_dim", ["0", "-1"])
+    def test_all_nonpositive_max_dim_is_usage_error(self, capsys, max_dim):
+        code, out, _ = run(capsys, "maximal", "--all", "--max-dim", max_dim)
+        assert code == 2 and out == ""
+
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "maximal", "--dim", "4")
         assert code == 2
@@ -160,6 +165,13 @@ class TestDual:
                 "--spatial", "--naimark")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dim", ["0", "-4"])
+    def test_alpha_reduce_nonpositive_dim_is_usage_error(self, capsys, dim):
+        code, out, err = run(capsys, "dual", "--dim", dim, "--alpha", "3/2",
+                             "--alpha-reduce")
+        assert code == 2 and out == ""
+        assert "dimension must be a positive integer" in err
+
     def test_degenerate_is_usage_error(self, capsys):
         code, _, err = run(capsys, "dual", "--dim", "4", "--ranks", "4,4",
                            "--spatial")
@@ -204,6 +216,18 @@ class TestCheckBounds:
     def test_filters_not_applicable_at_two(self, capsys):
         code, out, _ = run(capsys, "check-bounds", "--dim", "3", "--ranks", "3,3")
         assert code == 0 and "n/a" in out
+
+    @pytest.mark.parametrize("alpha", ["7/4", "1/2"])
+    def test_malformed_alpha_is_usage_error(self, capsys, alpha):
+        # 7/4 * 6 is not an integer, and a bound below 1 is not a frame bound
+        code, out, _ = run(capsys, "check-bounds", "--dim", "6",
+                           "--ranks", "4,2,2,2,1", "--alpha", alpha)
+        assert code == 2 and out == ""
+
+    def test_rank_above_dim_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check-bounds", "--dim", "3", "--ranks", "4")
+        assert code == 2 and out == ""
+        assert "exceeds dimension" in err
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_nonpositive_dim_is_usage_error(self, capsys, dim):
@@ -293,6 +317,21 @@ class TestRealizeVerify:
         code, _, err = run(capsys, argv[0], "--in", str(listed), *argv[1:])
         assert code == 2
         assert "must be an object" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"dim": 2, "blocks": [1]}, {"dim": 2, "blocks": 5},
+         # truncated to dim 2 and two rank-1 blocks these form a tight frame
+         {"dim": 2.5, "blocks": [{"rank": 1.9, "basis": [[1, 0]]},
+                                 {"rank": 1.9, "basis": [[0, 1]]}]}],
+        ids=["block-not-object", "blocks-not-list", "non-integral"],
+    )
+    def test_malformed_projection_set_exit_2(self, capsys, tmp_path, data):
+        bad = tmp_path / "p.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--in", str(bad))
+        assert code == 2 and out == ""
+        assert "ProjectionSet" in err
 
     @pytest.mark.parametrize(
         "argv", [("tableau",), ("dual-config", "--spatial")],

@@ -365,7 +365,7 @@ class TestTableaux:
             rebuilt = [[0] * cert.total for _ in range(cert.dim)]
             for i, row in enumerate(rows):
                 for (k, v) in row:
-                    rebuilt[i][cert.block_start(k - 1) + v - 1] += 1
+                    rebuilt[i][sum(cert.ranks[:k - 1]) + v - 1] += 1
             assert tuple(tuple(r) for r in rebuilt) == cert.entries
 
 

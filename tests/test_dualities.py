@@ -40,6 +40,11 @@ class TestSequenceSpatial:
     def test_reference_pair(self):
         assert spatial_dual((2, 2, 2, 1), 4) == ((3, 2, 2, 2), 4)
 
+    def test_unsorted_input_sorted(self):
+        assert spatial_dual((2, 3), 4) == spatial_dual((3, 2), 4) == ((2, 1), 4)
+        assert naimark_dual((1, 2, 2, 2), 4) == ((2, 2, 2, 1), 3)
+        assert recur_strip((1, 5, 1, 1, 1, 1, 1), 6) == ((1,) * 6, 5)
+
     def test_zero_parts_dropped(self):
         assert spatial_dual((4, 2, 1), 4) == ((3, 2), 4)
 

@@ -1,18 +1,25 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from refdata import EXPECTED_MAXIMAL
 from tffcomb import (
-    TFFInstance,
+    alpha_reduce,
+    count_configs,
     decide,
     enumerate_tff,
     fillmore_feasible,
     find_config,
     first3_check,
     hook_type_decide,
+    iter_configs,
     k_block_bound,
     maximal_elements,
+    naimark_dual,
+    realize_tff,
+    recur_strip,
+    spatial_dual,
     unique_maximal,
     validate_config,
 )
@@ -20,20 +27,71 @@ from tffcomb.errors import AlphaOutOfRange, InvalidAlpha, InvalidRanks
 from tffcomb.partitions import dominance_leq, partitions_of
 
 
-class TestInstance:
-    def test_derived_fields(self):
-        inst = TFFInstance(dim=6, ranks=(4, 2, 2, 2, 1))
-        assert inst.total == 11
-        assert inst.alpha == Fraction(11, 6)
-        assert inst.sigma == (4, 6, 8, 10, 11)
+# every public entry point that takes a (ranks, dim) instance
+INSTANCE_ENTRY_POINTS = {
+    "decide": decide,
+    "find_config": find_config,
+    "count_configs": count_configs,
+    "iter_configs": lambda ranks, dim: list(iter_configs(ranks, dim)),
+    "spatial_dual": spatial_dual,
+    "naimark_dual": naimark_dual,
+    "recur_strip": recur_strip,
+    "realize_tff": lambda ranks, dim: realize_tff(ranks, dim, seed=0),
+}
 
-    def test_rejects_rank_above_dim(self):
-        with pytest.raises(InvalidRanks):
-            TFFInstance(dim=3, ranks=(4,))
+MALFORMED_INSTANCES = {
+    "empty": ((), 3),
+    "zero-rank": ((2, 0), 3),
+    "negative-rank": ((2, -1), 3),
+    "fractional-rank": ((2.7, 1), 3),
+    "string-rank": (("2",), 3),
+    "zero-dim": ((1, 1), 0),
+    "negative-dim": ((1, 1), -1),
+    "fractional-dim": ((2, 2, 2), 4.5),
+    "rank-above-dim": ((4,), 3),
+}
 
-    def test_rejects_bound_below_one(self):
+
+class TestInstanceBoundary:
+    @pytest.mark.parametrize("name", sorted(INSTANCE_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "ranks, dim", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES
+    )
+    def test_malformed_instance_rejected(self, name, ranks, dim):
         with pytest.raises(InvalidRanks):
-            TFFInstance(dim=5, ranks=(2, 1))
+            INSTANCE_ENTRY_POINTS[name](ranks, dim)
+
+    @pytest.mark.parametrize("name", sorted(INSTANCE_ENTRY_POINTS))
+    def test_integral_values_accepted(self, name):
+        got = INSTANCE_ENTRY_POINTS[name]((2.0, 2.0, 2.0), 4.0)
+        want = INSTANCE_ENTRY_POINTS[name]((2, 2, 2), 4)
+        if name == "realize_tff":
+            assert got.dim == want.dim == 4
+            assert all(map(np.array_equal, got.blocks, want.blocks))
+        else:
+            assert got == want
+
+    def test_bound_below_one_is_not_an_error(self):
+        assert decide((2, 1), 5) is False
+        assert find_config((2, 1), 5) is None
+        assert count_configs((2, 1), 5) == 0
+
+    @pytest.mark.parametrize(
+        "fn", [maximal_elements, enumerate_tff, alpha_reduce],
+        ids=["maximal_elements", "enumerate_tff", "alpha_reduce"],
+    )
+    @pytest.mark.parametrize(
+        "dim", [0, -4, 4.5, "4", 3],
+        ids=["zero-dim", "negative-dim", "fractional-dim", "string-dim",
+             "fractional-total"],
+    )
+    def test_malformed_alpha_rejected(self, fn, dim):
+        with pytest.raises(InvalidAlpha):
+            fn(Fraction(3, 2), dim)
+
+    def test_integral_alpha_instance_accepted(self):
+        for fn in (maximal_elements, enumerate_tff, alpha_reduce):
+            assert fn(1.5, 4.0) == fn(Fraction(3, 2), 4)
 
 
 class TestDecide:
