@@ -335,7 +335,9 @@ def _cmd_realize(args) -> int:
         f"realized {list(ranks)} in dimension {args.dim};"
         f" residual {report.sum_residual:.3e}"
     )
-    _emit(payload, text, args.json, args.out)
+    if args.out:
+        _emit(payload, text, True, args.out)
+    _emit(payload, text, args.json)
     return EXIT_OK
 
 

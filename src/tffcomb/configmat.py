@@ -18,10 +18,16 @@ these matrices are exactly unions of column-strict lattice skew tableaux and
 their number equals a Littlewood-Richardson coefficient of rectangles.
 
 The search in this module (find_config, iter_configs) fills columns left to
-right, each column top to bottom, trying larger entries first; partial states
-are pruned by prefix feasibility bounds, and states with no certificate below
-them are remembered, which keeps exhaustive non-existence proofs tractable up
-to dim 9.
+right, each column top to bottom, trying larger entries first, and states
+with no certificate below them are remembered.  It prunes by the support of
+the Littlewood-Richardson product: the blocks not yet filled must fill the
+180-degree complement lambda of the current shape, so lambda lies in the
+product of their rectangles.  Hence the largest later rectangle fits in
+lambda (``_fit_test``, applied while each column is built), and at each
+block start the union and the row-wise sum of the later rectangles bound
+lambda in dominance order (mu u nu <= lambda <= mu + nu).  Only states
+without a completion are cut, so the search order and its certificates are
+those of the unpruned walk.
 
 Counting (count_configs) meets in the middle of the box instead.  The count
 is the coefficient of the box ``(M^N)`` in the product of the rectangles
@@ -239,23 +245,36 @@ def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
     return alpha, whole, total.numerator
 
 
+def _fit_test(later: Sequence[int], n: int, m: int) -> tuple[int, int]:
+    """``(row, cap)``: the largest rectangle ``(n^rank)`` of ``later`` fits in
+    the 180-degree complement of a shape in the n x m box iff
+    ``shape[row] <= cap``.  With no ``later`` blocks the test always holds."""
+    return (n - max(later), m - n) if later else (0, m)
+
+
 def _column_options(
     rho: tuple[int, ...],
     prev: tuple[int, ...] | None,
     value: int,
     n: int,
     m: int,
+    fit: tuple[int, int],
 ) -> list[tuple[int, ...]]:
     """Admissible next columns, in descending lexicographic order.
 
     ``rho`` holds the current row sums.  A column for label ``value`` must put
     zero in rows above ``value``, keep each row within the staircase capacity
     of the row above (property (iv)), and respect in-block dominance against
-    ``prev`` (property (v)).
+    ``prev`` (property (v)).  The new row sums must pass the ``_fit_test``
+    pair ``fit`` of the blocks after the column's own.
     """
+    row, cap = fit
+    if rho[row] > cap:
+        return []
     caps = [0] * n
     for i in range(value - 1, n):
         caps[i] = (m - rho[0]) if i == 0 else (rho[i - 1] - rho[i])
+    caps[row] = min(caps[row], cap - rho[row])
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + caps[i]
@@ -263,6 +282,10 @@ def _column_options(
         pp = [0] * (n + 1)
         for i in range(n):
             pp[i + 1] = pp[i] + prev[i]
+        # rows up to i hold at most pp[i] and the rows below at most
+        # suffix[i + 1]; past this test no branch below is a dead end
+        if any(pp[i] + suffix[i + 1] < n for i in range(n)):
+            return []
 
     out = [0] * n
     options: list[tuple[int, ...]] = []
@@ -272,17 +295,17 @@ def _column_options(
         if remaining == 0:
             options.append(tuple(out))
             return
-        if i == n or remaining > suffix[i]:
-            return
         hi = min(caps[i], remaining)
         if prev is not None:
             hi = min(hi, pp[i] - csum)
-        for x in range(hi, -1, -1):
+        # a smaller entry leaves more than the rows below can hold
+        for x in range(hi, max(remaining - suffix[i + 1], 0) - 1, -1):
             out[i] = x
             rec(i + 1, remaining - x, csum + x)
         out[i] = 0
 
-    rec(0, n, 0)
+    if n <= suffix[0]:
+        rec(0, n, 0)
     return options
 
 
@@ -296,69 +319,55 @@ def _shape_counts(
     column, which only matters inside a block, so it is dropped at block ends
     and the states of a block merge there.  The blocks after the current
     one, the rest of ``blocks`` and then ``later``, fill the 180-degree
-    complement of the shape the current block ends on.  That complement
-    contains their largest rectangle ``(n^rank)``, so the bottom ``rank``
-    rows of every state stay within ``m - n``; other states are dropped.
+    complement of the shape the current block ends on, so every column is
+    built to pass their ``_fit_test``.
     """
     states: dict = {((0,) * n, None): 1}
     for k, width in enumerate(blocks):
-        rest = [*blocks[k + 1:], *later]
-        row, cap = (n - max(rest), m - n) if rest else (0, m)
+        fit = _fit_test([*blocks[k + 1:], *later], n, m)
         for v in range(1, width + 1):
             in_block = v < width
             grown: dict = {}
             for (rho, prev), ways in states.items():
-                for col in _column_options(rho, prev, v, n, m):
-                    nrho = tuple(map(add, rho, col))
-                    if nrho[row] > cap:
-                        continue
-                    key = (nrho, col if in_block else None)
+                for col in _column_options(rho, prev, v, n, m, fit):
+                    key = (tuple(map(add, rho, col)), col if in_block else None)
                     grown[key] = grown.get(key, 0) + ways
             states = grown
     return {rho: ways for (rho, _), ways in states.items()}
 
 
 class _Search:
-    """Shared state for the column-by-column certificate search."""
+    """Shared state for the column-by-column certificate search, pruned by
+    the support bounds of the module docstring: ``fit[c]`` for column ``c``
+    and ``windows[c]`` for the block starting at column ``c``."""
 
     def __init__(self, ranks: tuple[int, ...], dim: int):
-        self.n = dim
-        self.ranks = ranks
-        self.m = sum(ranks)
+        self.n = n = dim
+        self.m = m = sum(ranks)
         cols = []
+        fit = []
+        # windows[c][i]: bounds on the top i+1 rows of lambda at block start c
+        windows = {}
         for k, width in enumerate(ranks):
-            for v in range(1, width + 1):
-                cols.append((k, v))
-        self.cols = cols
-        # rem[c][i]: columns at position >= c whose label is <= i; labels above
-        # row i never contribute to the first i rows, so these counts bound how
-        # much the leading rows can still grow.
-        rem = [[0] * (dim + 1) for _ in range(self.m + 1)]
-        for c in range(self.m - 1, -1, -1):
-            _, v = cols[c]
-            for i in range(dim + 1):
-                rem[c][i] = rem[c + 1][i] + (1 if v <= i else 0)
-        self.rem = rem
-        self.final_start = self.m - ranks[-1]
-        if self.m >= dim:
-            self.final_rho = tuple(
-                [self.m] * (dim - ranks[-1]) + [self.m - dim] * ranks[-1]
+            later = ranks[k:]
+            windows[len(cols)] = (
+                [n * min(i, sum(later)) for i in range(1, n + 1)],
+                [n * sum(min(r, i) for r in later) for i in range(1, n + 1)],
             )
-        else:
-            self.final_rho = None
-        self.target = (self.m,) * dim
+            fit += [_fit_test(later[1:], n, m)] * width
+            cols += [(k, v) for v in range(1, width + 1)]
+        self.cols = cols
+        self.fit = fit
+        self.windows = windows
 
-    def feasible(self, c: int, rho: tuple[int, ...]) -> bool:
-        """Prefix bound: rows 1..i must be completable by the remaining
-        columns whose labels can reach them (at most n boxes per column)."""
-        n, m = self.n, self.m
-        if c == self.final_start and rho != self.final_rho:
-            return False
-        rem_c = self.rem[c]
-        prefix = 0
-        for i in range(1, n + 1):
-            prefix += rho[i - 1]
-            if i * m - prefix > n * rem_c[i]:
+    def in_window(self, c: int, rho: tuple[int, ...]) -> bool:
+        """At block start ``c``, whether each top-row sum of lambda lies
+        between those of the union and the row-wise sum of the rectangles."""
+        lo, hi = self.windows[c]
+        top = 0
+        for i, x in enumerate(reversed(rho)):
+            top += self.m - x
+            if not lo[i] <= top <= hi[i]:
                 return False
         return True
 
@@ -369,28 +378,31 @@ class _Search:
         certificate is remembered and skipped when it is reached again.
         """
         n, m = self.n, self.m
-        cols = self.cols
+        cols, fit, windows = self.cols, self.fit, self.windows
         failed: set = set()
         chosen: list[tuple[int, ...]] = []
         found = 0
 
         def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
             nonlocal found
+            # all n*m boxes are placed and no row exceeds m: the box is full
             if c == m:
-                if rho == self.target:
-                    found += 1
-                    yield list(chosen)
+                found += 1
+                yield list(chosen)
                 return
             key = (c, rho, prev)
-            if key in failed or not self.feasible(c, rho):
+            if c in windows and not self.in_window(c, rho):
+                failed.add(key)
                 return
             before = found
             blk, v = cols[c]
             in_block = c + 1 < m and cols[c + 1][0] == blk
-            for col in _column_options(rho, prev, v, n, m):
+            for col in _column_options(rho, prev, v, n, m, fit[c]):
+                child = (c + 1, tuple(map(add, rho, col)), col if in_block else None)
+                if child in failed:
+                    continue
                 chosen.append(col)
-                yield from go(c + 1, tuple(map(add, rho, col)),
-                              col if in_block else None)
+                yield from go(*child)
                 chosen.pop()
             if found == before:
                 failed.add(key)

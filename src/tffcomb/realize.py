@@ -228,6 +228,11 @@ def _top_eigvecs(sym: np.ndarray, rank: int) -> np.ndarray:
     return vecs[:, -rank:]
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
+
+
 def realize_tff(
     ranks: Sequence[int],
     dim: int,
@@ -248,8 +253,7 @@ def realize_tff(
         raise InvalidParameter(
             f"max_restarts must be at least 1, got {max_restarts}"
         )
-    if not tol >= 0:
-        raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
+    _check_tol(tol)
     ranks, dim = check_instance(ranks, dim)
     ranks = tuple(sorted(ranks, reverse=True))
     if not decide(ranks, dim):
@@ -297,8 +301,10 @@ def verify_tff(
 
     Measures the Frobenius residual of sum(P_k) - alpha*I, per-block
     orthonormality and idempotence, and the numerical rank of every block;
-    passes iff all residuals are within ``tol`` and ranks match.
+    passes iff all residuals are within ``tol`` and ranks match.  Raises
+    InvalidParameter for a negative or NaN ``tol``, as realize_tff does.
     """
+    _check_tol(tol)
     if alpha is None:
         alpha = s.alpha
     alpha = float(alpha)

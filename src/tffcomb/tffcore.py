@@ -11,7 +11,10 @@ the certificate search, everything below is inherited.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from math import floor
+from operator import le
+from typing import Iterator, Sequence
 
 from .configmat import ConfigMatrix, check_alpha, check_instance, find_config
 from .dualities import (
@@ -139,21 +142,22 @@ def first3_check(
     l1+l2+l3 <= alpha*dim is imposed there.  (With bound dim at 3/2 the
     check would wrongly reject (2,2,2) in dimension 4.)
     """
-    alpha = Fraction(alpha)
-    _require_alpha_open_interval(alpha)
+    caps = _first3_caps(Fraction(alpha), dim)
     if not l1 >= l2 >= l3 >= 0:
         raise InvalidRanks(f"need l1 >= l2 >= l3 >= 0, got {(l1, l2, l3)}")
-    if l1 > (alpha - 1) * dim:
-        return False
-    if l1 + l2 > dim:
-        return False
+    return all(map(le, accumulate((l1, l2, l3)), caps))
+
+
+def _first3_caps(alpha: Fraction, dim: int) -> tuple[int, int, int]:
+    """first3_check's bounds on l1, l1+l2 and l1+l2+l3, rounded down."""
+    _require_alpha_open_interval(alpha)
     if alpha < Fraction(3, 2):
-        bound = Fraction(dim)
+        three = Fraction(dim)
     elif alpha > Fraction(3, 2):
-        bound = 2 * (alpha - 1) * dim
+        three = 2 * (alpha - 1) * dim
     else:
-        bound = alpha * dim
-    return l1 + l2 + l3 <= bound
+        three = alpha * dim
+    return floor((alpha - 1) * dim), dim, floor(three)
 
 
 def hook_type_decide(
@@ -187,9 +191,38 @@ def k_block_bound(ranks: Sequence[int], dim: int, alpha: Rational) -> bool:
     prefix = 0
     for k, r in enumerate(ranks, start=1):
         prefix += r
-        if k >= 2 and alpha * (k - 1) < k and prefix > dim:
+        if _k_block_applies(alpha, k) and prefix > dim:
             return False
     return True
+
+
+def _k_block_applies(alpha: Fraction, k: int) -> bool:
+    return k >= 2 and alpha * (k - 1) < k
+
+
+def _admissible(alpha: Fraction, dim: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``total`` with parts <= ``dim`` that pass
+    first3_check and k_block_bound, in the order of ``partitions_of``.
+
+    Both filters cap prefix sums: ``caps[k]`` bounds l1 + ... + l(k+1).  A
+    prefix above its cap is cut with everything that extends it.  The caps
+    never decrease, so a partition within them also passes first3_check's
+    zero padding.
+    """
+    caps = [*_first3_caps(alpha, dim), *[total] * total]
+    for k in range(2, total + 1):
+        if _k_block_applies(alpha, k):
+            caps[k - 1] = min(caps[k - 1], dim)
+
+    def rec(remaining: int, cap: int, parts: tuple[int, ...]):
+        if remaining == 0:
+            yield parts
+            return
+        top = min(cap, remaining, caps[len(parts)] - (total - remaining))
+        for part in range(top, 0, -1):
+            yield from rec(remaining - part, part, parts + (part,))
+
+    yield from rec(total, dim, ())
 
 
 def unique_maximal(alpha: Rational, dim: int) -> tuple[int, ...] | None:
@@ -229,10 +262,13 @@ def maximal_elements(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
 
     Candidates are scanned in descending lexicographic order (which refines
     reverse dominance), so a candidate not dominated by an accepted element
-    is maximal as soon as the certificate search succeeds.  For bounds in
-    (1, 2) the three-rank and k-block filters discard candidates before the
-    search; integer bounds have the closed-form answer; other bounds reduce
-    into (1, 2) without changing the set of sequences.
+    is maximal as soon as ``decide`` finds it tight.  For bounds in (1, 2)
+    only admissible candidates are built: the three-rank and k-block filters
+    become caps on prefix sums, and the scan cuts every prefix above its
+    cap.  Dominance is tested against the prefix sums of the accepted
+    elements, computed once each.  Integer bounds have the closed-form
+    answer; other bounds reduce into (1, 2) without changing the set of
+    sequences.
     """
     alpha, dim, total = check_alpha(alpha, dim)
     if alpha.denominator == 1:
@@ -240,16 +276,16 @@ def maximal_elements(alpha: Rational, dim: int) -> list[tuple[int, ...]]:
     if alpha > 2:
         return maximal_elements(*alpha_reduce(alpha, dim))
     accepted: list[tuple[int, ...]] = []
-    for cand in partitions_of(total, max_part=dim):
-        if any(dominance_leq(cand, top) for top in accepted):
-            continue
-        padded = cand + (0, 0, 0)
-        if not first3_check(padded[0], padded[1], padded[2], alpha, dim):
-            continue
-        if not k_block_bound(cand, dim, alpha):
+    tops: list[tuple[int, ...]] = []
+    for cand in _admissible(alpha, dim, total):
+        sums = tuple(accumulate(cand))
+        # zip stops at the shorter, which suffices: past the end of ``top``
+        # its sum is ``total``, and ``sums`` ends on ``total``
+        if any(all(map(le, sums, top)) for top in tops):
             continue
         if decide(cand, dim):
             accepted.append(cand)
+            tops.append(sums)
     return accepted
 
 

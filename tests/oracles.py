@@ -6,10 +6,15 @@ sums and row budgets) and filters by re-checking the defining properties on
 the complete matrix, the chain counter multiplies skew-tableau counts
 from the standalone enumeration oracle, and the reference dualities copy
 every block out of the matrix and rebuild the mu-chain, as the package's
-first implementation of the certificate dualities did.
+first implementation of the certificate dualities did.  The reference
+walk is the certificate search as it was before the Littlewood-Richardson
+support pruning: the same column order, pruned only by prefix feasibility
+and the last block's forced start.
 """
 
-from itertools import product
+from itertools import islice, product
+from operator import add
+from typing import Iterator
 
 from tffcomb import ConfigMatrix, lr_oracle, validate_config
 from tffcomb.errors import DegenerateDual, InvalidCertificate
@@ -228,3 +233,136 @@ def reference_naimark_dual(a):
     dual = ConfigMatrix(dim=new_dim, ranks=a.ranks, entries=entries)
     _require_valid(dual)
     return dual
+
+
+def _column_options(
+    rho: tuple[int, ...],
+    prev: tuple[int, ...] | None,
+    value: int,
+    n: int,
+    m: int,
+) -> list[tuple[int, ...]]:
+    """Admissible next columns, in descending lexicographic order.
+
+    ``rho`` holds the current row sums.  A column for label ``value`` must put
+    zero in rows above ``value``, keep each row within the staircase capacity
+    of the row above (property (iv)), and respect in-block dominance against
+    ``prev`` (property (v)).
+    """
+    caps = [0] * n
+    for i in range(value - 1, n):
+        caps[i] = (m - rho[0]) if i == 0 else (rho[i - 1] - rho[i])
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+    if prev is not None:
+        pp = [0] * (n + 1)
+        for i in range(n):
+            pp[i + 1] = pp[i] + prev[i]
+
+    out = [0] * n
+    options: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, csum: int) -> None:
+        # rows i.. of ``out`` are zero on entry, so a full column is out as is
+        if remaining == 0:
+            options.append(tuple(out))
+            return
+        if i == n or remaining > suffix[i]:
+            return
+        hi = min(caps[i], remaining)
+        if prev is not None:
+            hi = min(hi, pp[i] - csum)
+        for x in range(hi, -1, -1):
+            out[i] = x
+            rec(i + 1, remaining - x, csum + x)
+        out[i] = 0
+
+    rec(0, n, 0)
+    return options
+
+
+class ReferenceSearch:
+    """Shared state for the column-by-column certificate search."""
+
+    def __init__(self, ranks: tuple[int, ...], dim: int):
+        self.n = dim
+        self.ranks = ranks
+        self.m = sum(ranks)
+        cols = []
+        for k, width in enumerate(ranks):
+            for v in range(1, width + 1):
+                cols.append((k, v))
+        self.cols = cols
+        # rem[c][i]: columns at position >= c whose label is <= i; labels above
+        # row i never contribute to the first i rows, so these counts bound how
+        # much the leading rows can still grow.
+        rem = [[0] * (dim + 1) for _ in range(self.m + 1)]
+        for c in range(self.m - 1, -1, -1):
+            _, v = cols[c]
+            for i in range(dim + 1):
+                rem[c][i] = rem[c + 1][i] + (1 if v <= i else 0)
+        self.rem = rem
+        self.final_start = self.m - ranks[-1]
+        if self.m >= dim:
+            self.final_rho = tuple(
+                [self.m] * (dim - ranks[-1]) + [self.m - dim] * ranks[-1]
+            )
+        else:
+            self.final_rho = None
+        self.target = (self.m,) * dim
+
+    def feasible(self, c: int, rho: tuple[int, ...]) -> bool:
+        """Prefix bound: rows 1..i must be completable by the remaining
+        columns whose labels can reach them (at most n boxes per column)."""
+        n, m = self.n, self.m
+        if c == self.final_start and rho != self.final_rho:
+            return False
+        rem_c = self.rem[c]
+        prefix = 0
+        for i in range(1, n + 1):
+            prefix += rho[i - 1]
+            if i * m - prefix > n * rem_c[i]:
+                return False
+        return True
+
+    def enumerate(self) -> Iterator[list[tuple[int, ...]]]:
+        """Every certificate as a list of columns, in the search order.
+
+        A state (column, row sums, previous column) whose subtree held no
+        certificate is remembered and skipped when it is reached again.
+        """
+        n, m = self.n, self.m
+        cols = self.cols
+        failed: set = set()
+        chosen: list[tuple[int, ...]] = []
+        found = 0
+
+        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
+            nonlocal found
+            if c == m:
+                if rho == self.target:
+                    found += 1
+                    yield list(chosen)
+                return
+            key = (c, rho, prev)
+            if key in failed or not self.feasible(c, rho):
+                return
+            before = found
+            blk, v = cols[c]
+            in_block = c + 1 < m and cols[c + 1][0] == blk
+            for col in _column_options(rho, prev, v, n, m):
+                chosen.append(col)
+                yield from go(c + 1, tuple(map(add, rho, col)),
+                              col if in_block else None)
+                chosen.pop()
+            if found == before:
+                failed.add(key)
+
+        yield from go(0, (0,) * n, None)
+
+
+def reference_columns(ranks, dim, limit=None):
+    """The first ``limit`` (all, for None) certificates of the reference
+    walk, each as a list of columns."""
+    return list(islice(ReferenceSearch(tuple(ranks), dim).enumerate(), limit))

@@ -269,6 +269,28 @@ class TestRealizeVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_readme_realize_then_verify(self, capsys, tmp_path):
+        # the README pair: --out writes ProjectionSet JSON without --json,
+        # and stdout keeps the one-line summary
+        frame = tmp_path / "frame.json"
+        code, out, _ = run(
+            capsys, "realize", "--dim", "6", "--ranks", "4,2,2,2,1",
+            "--seed", "0", "--out", str(frame), "--csv", str(tmp_path / "f.csv"),
+        )
+        assert code == 0 and out.startswith("realized [4, 2, 2, 2, 1]")
+        assert json.loads(frame.read_text())["dim"] == 6
+        code, out, _ = run(capsys, "verify", "--in", str(frame), "--tol", "1e-8")
+        assert code == 0 and out.strip().endswith("pass")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_verify_bad_tolerance_exit_2(self, capsys, tmp_path, tol):
+        frame = tmp_path / "frame.json"
+        run(capsys, "realize", "--dim", "3", "--ranks", "2,1,1,1,1",
+            "--seed", "0", "--out", str(frame))
+        code, out, err = run(capsys, "verify", "--in", str(frame), "--tol", tol)
+        assert code == 2 and out == ""
+        assert "tolerance" in err
+
     def test_realize_not_tight(self, capsys):
         code, _, err = run(
             capsys, "realize", "--dim", "5", "--ranks", "3,3", "--seed", "1"

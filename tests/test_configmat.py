@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -18,7 +18,12 @@ from refdata import (
     GRID_5x8_RANKS_32111,
     GRID_6x11_RANKS_42221,
 )
-from oracles import brute_count_configs, chain_count_configs, hook_completion_oracle
+from oracles import (
+    brute_count_configs,
+    chain_count_configs,
+    hook_completion_oracle,
+    reference_columns,
+)
 from tffcomb import (
     ConfigMatrix,
     config_naimark_dual,
@@ -230,6 +235,40 @@ class TestFindConfig:
 
     def test_total_below_dim_infeasible(self):
         assert find_config((2, 1), 5) is None
+
+
+def _columns(cert):
+    return list(zip(*cert.entries))
+
+
+class TestSearchOrder:
+    """The support pruning only cuts states without a completion, so the
+    search returns what the unpruned reference walk returns, in its order."""
+
+    def test_find_config_matches_reference_walk(self):
+        # 696 instances: every partition with 1 <= dim <= 6 and
+        # dim <= total <= 2*dim + 2
+        checked = 0
+        for dim in range(1, 7):
+            for total in range(dim, 2 * dim + 3):
+                for ranks in partitions_of(total, max_part=dim):
+                    cert = find_config(ranks, dim)
+                    got = [] if cert is None else [_columns(cert)]
+                    assert got == reference_columns(ranks, dim, 1), (ranks, dim)
+                    checked += 1
+        assert checked == 696
+
+    def test_iter_configs_matches_reference_walk(self):
+        # 242 instances: every partition with 1 <= dim <= 5 and
+        # dim <= total <= 2*dim + 1, up to the first 300 certificates
+        checked = 0
+        for dim in range(1, 6):
+            for total in range(dim, 2 * dim + 2):
+                for ranks in partitions_of(total, max_part=dim):
+                    got = [_columns(c) for c in islice(iter_configs(ranks, dim), 300)]
+                    assert got == reference_columns(ranks, dim, 300), (ranks, dim)
+                    checked += 1
+        assert checked == 242
 
 
 class TestCountConfigs:

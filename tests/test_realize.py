@@ -229,6 +229,11 @@ class TestRealize:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-9, float("nan")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidParameter):
+            verify_tff(reference_projection_set(), tol=tol)
+
     def test_reference_basis_passes(self):
         rep = verify_tff(reference_projection_set(), alpha=Fraction(11, 6), tol=1e-8)
         assert rep.passed

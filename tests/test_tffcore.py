@@ -25,6 +25,7 @@ from tffcomb import (
 )
 from tffcomb.errors import AlphaOutOfRange, InvalidAlpha, InvalidRanks
 from tffcomb.partitions import dominance_leq, partitions_of
+from tffcomb.tffcore import _admissible
 
 
 # every public entry point that takes a (ranks, dim) instance
@@ -123,10 +124,10 @@ class TestDecide:
             decide(ranks, dim)
 
     def test_descent_agrees_with_unreduced_search(self):
-        # 696 instances: every partition with 1 <= dim <= 6 and
+        # 1394 instances: every partition with 1 <= dim <= 7 and
         # dim <= total <= 2*dim + 2, searched at full size as the reference
         checked = 0
-        for dim in range(1, 7):
+        for dim in range(1, 8):
             for total in range(dim, 2 * dim + 3):
                 for ranks in partitions_of(total, max_part=dim):
                     tight, cert = decide(ranks, dim, certificate=True)
@@ -138,7 +139,7 @@ class TestDecide:
                         assert validate_config(cert).ok, (ranks, dim)
                         assert (cert.ranks, cert.dim) == (ranks, dim)
                     checked += 1
-        assert checked == 696
+        assert checked == 1394
 
     @pytest.mark.parametrize(
         "ranks, tight",
@@ -327,6 +328,24 @@ class TestEnumeration:
                         padded[0], padded[1], padded[2], alpha, dim
                     )
                     assert k_block_bound(seq, dim, alpha)
+
+    def test_admissible_candidates_are_the_filtered_partitions(self):
+        # every cell with 1 < alpha < 2 and dim <= 10: the capped scan
+        # yields exactly what the two public filters pass, in the same order
+        cells = 0
+        for dim in range(1, 11):
+            for total in range(dim + 1, 2 * dim):
+                alpha = Fraction(total, dim)
+                expect = [
+                    cand for cand in partitions_of(total, max_part=dim)
+                    if first3_check(*(cand + (0, 0, 0))[:3], alpha, dim)
+                    and k_block_bound(cand, dim, alpha)
+                ]
+                assert list(_admissible(alpha, dim, total)) == expect, (
+                    dim, total,
+                )
+                cells += 1
+        assert cells == 45
 
     def test_matches_reference_tables_away_from_known_defect(self):
         for (dim, alpha_text), expect in EXPECTED_MAXIMAL.items():
