@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative/success, 1 negative decision or failed check,
-2 usage error, 3 convergence failure in the numerical realizer.  Every
-subcommand takes ``--json`` for machine-readable output; rationals are
-written as "p/q" and rank lists as comma-separated integers.
+2 usage error, 3 convergence failure in the numerical realizer.  ``main``
+is the one place that turns an exception into an exit code, after printing
+``error: <message>``: NotATFFSequence gives 1, ConvergenceFailure 3, and any
+other TFFCombError, OSError, ValueError or KeyError (a bad option or input
+file) 2.  Every subcommand takes ``--json`` for machine-readable output;
+rationals are written as "p/q" and rank lists as comma-separated integers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import configmat, dualities, realize, tffcore
 from .configmat import ConfigMatrix
-from .errors import ConvergenceFailure, TFFCombError
+from .errors import ConvergenceFailure, NotATFFSequence, TFFCombError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -79,6 +82,18 @@ def _load_config(path: str) -> ConfigMatrix:
         return ConfigMatrix.from_json_dict(json.load(fh))
 
 
+def _find_certificate(args) -> ConfigMatrix:
+    """The first certificate for ``--ranks`` in ``--dim``; raises
+    NotATFFSequence when there is none."""
+    ranks = _canonical_ranks(args.ranks, args.dim)
+    cert = configmat.find_config(ranks, args.dim)
+    if cert is None:
+        raise NotATFFSequence(
+            f"no certificate for {list(ranks)} in dimension {args.dim}"
+        )
+    return cert
+
+
 def _cmd_decide(args) -> int:
     ranks = _canonical_ranks(args.ranks, args.dim)
     tight, cert = tffcore.decide(ranks, args.dim, certificate=True)
@@ -110,12 +125,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    ranks = _canonical_ranks(args.ranks, args.dim)
-    cert = configmat.find_config(ranks, args.dim)
-    if cert is None:
-        print(f"no certificate for {list(ranks)} in dimension {args.dim}",
-              file=sys.stderr)
-        return EXIT_NEGATIVE
+    cert = _find_certificate(args)
     _emit(cert.to_json_dict(), _matrix_text(cert), args.json, args.out)
     return EXIT_OK
 
@@ -127,12 +137,7 @@ def _cmd_tableau(args) -> int:
         print("tableau: need --ranks and --dim (or --in)", file=sys.stderr)
         return EXIT_USAGE
     else:
-        ranks = _canonical_ranks(args.ranks, args.dim)
-        cert = configmat.find_config(ranks, args.dim)
-        if cert is None:
-            print(f"no certificate for {list(ranks)} in dimension {args.dim}",
-                  file=sys.stderr)
-            return EXIT_NEGATIVE
+        cert = _find_certificate(args)
     text = configmat.render_tableaux(cert)
     payload = {
         "dim": cert.dim,
@@ -311,20 +316,11 @@ def _cmd_two_proj(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    from .errors import NotATFFSequence
-
     ranks = _canonical_ranks(args.ranks, args.dim)
-    try:
-        pset = realize.realize_tff(
-            ranks, args.dim, seed=args.seed, tol=args.tol,
-            max_restarts=args.max_restarts,
-        )
-    except NotATFFSequence as exc:
-        print(f"realize: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except ConvergenceFailure as exc:
-        print(f"realize: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    pset = realize.realize_tff(
+        ranks, args.dim, seed=args.seed, tol=args.tol,
+        max_restarts=args.max_restarts,
+    )
     report = realize.verify_tff(pset, tol=args.tol)
     payload = pset.to_json_dict()
     payload["sum_residual"] = report.sum_residual
@@ -343,7 +339,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
-        pset = realize.ProjectionSet.from_json_dict(json.load(fh), tol=args.tol)
+        pset = realize.ProjectionSet.from_json_dict(json.load(fh))
     alpha = args.alpha if args.alpha is not None else pset.alpha
     report = realize.verify_tff(pset, alpha=alpha, tol=args.tol)
     payload = {
@@ -464,14 +460,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceFailure as exc:
+    except (TFFCombError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except TFFCombError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NotATFFSequence):
+            return EXIT_NEGATIVE
+        if isinstance(exc, ConvergenceFailure):
+            return EXIT_INTERNAL
         return EXIT_USAGE
 
 

@@ -113,7 +113,11 @@ class ConfigMatrix:
             raise MalformedInput(
                 f"certificate JSON must be an object, got {type(data).__name__}"
             )
-        return cls(dim=data["dim"], ranks=data["ranks"], entries=data["entries"])
+        try:
+            fields = data["dim"], data["ranks"], data["entries"]
+        except KeyError as exc:
+            raise MalformedInput(f"certificate JSON has no {exc} key") from exc
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -189,16 +193,11 @@ def validate_config(a: ConfigMatrix) -> ValidationReport:
 def require_valid(a: ConfigMatrix) -> None:
     """Raise InvalidCertificate unless ``a`` passes validate_config.
 
-    A ConfigMatrix is immutable, so a pass is recorded on the instance and
-    each certificate is checked at most once; a failure is not recorded and
-    raises again on every call.
+    A plain check that records nothing, so it runs in full on every call.
     """
-    if getattr(a, "_valid", False):
-        return
     report = validate_config(a)
     if not report:
         raise InvalidCertificate(report.message)
-    object.__setattr__(a, "_valid", True)
 
 
 def check_instance(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
@@ -336,78 +335,69 @@ def _shape_counts(
     return {rho: ways for (rho, _), ways in states.items()}
 
 
-class _Search:
-    """Shared state for the column-by-column certificate search, pruned by
-    the support bounds of the module docstring: ``fit[c]`` for column ``c``
-    and ``windows[c]`` for the block starting at column ``c``."""
+def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
+    """Every certificate for ``(ranks, n)`` as a list of columns, in the
+    search order, pruned by the support bounds of the module docstring:
+    ``fit[c]`` for column ``c`` and ``windows[c]`` for the block starting at
+    column ``c``.
 
-    def __init__(self, ranks: tuple[int, ...], dim: int):
-        self.n = n = dim
-        self.m = m = sum(ranks)
-        cols = []
-        fit = []
-        # windows[c][i]: bounds on the top i+1 rows of lambda at block start c
-        windows = {}
-        for k, width in enumerate(ranks):
-            later = ranks[k:]
-            windows[len(cols)] = (
-                [n * min(i, sum(later)) for i in range(1, n + 1)],
-                [n * sum(min(r, i) for r in later) for i in range(1, n + 1)],
-            )
-            fit += [_fit_test(later[1:], n, m)] * width
-            cols += [(k, v) for v in range(1, width + 1)]
-        self.cols = cols
-        self.fit = fit
-        self.windows = windows
+    A state (column, row sums, previous column) whose subtree held no
+    certificate is remembered and skipped when it is reached again.
+    """
+    m = sum(ranks)
+    cols = []
+    fit = []
+    # windows[c][i]: bounds on the top i+1 rows of lambda at block start c
+    windows = {}
+    for k, width in enumerate(ranks):
+        later = ranks[k:]
+        windows[len(cols)] = (
+            [n * min(i, sum(later)) for i in range(1, n + 1)],
+            [n * sum(min(r, i) for r in later) for i in range(1, n + 1)],
+        )
+        fit += [_fit_test(later[1:], n, m)] * width
+        cols += [(k, v) for v in range(1, width + 1)]
 
-    def in_window(self, c: int, rho: tuple[int, ...]) -> bool:
+    def in_window(c: int, rho: tuple[int, ...]) -> bool:
         """At block start ``c``, whether each top-row sum of lambda lies
         between those of the union and the row-wise sum of the rectangles."""
-        lo, hi = self.windows[c]
+        lo, hi = windows[c]
         top = 0
         for i, x in enumerate(reversed(rho)):
-            top += self.m - x
+            top += m - x
             if not lo[i] <= top <= hi[i]:
                 return False
         return True
 
-    def enumerate(self) -> Iterator[list[tuple[int, ...]]]:
-        """Every certificate as a list of columns, in the search order.
+    failed: set = set()
+    chosen: list[tuple[int, ...]] = []
+    found = 0
 
-        A state (column, row sums, previous column) whose subtree held no
-        certificate is remembered and skipped when it is reached again.
-        """
-        n, m = self.n, self.m
-        cols, fit, windows = self.cols, self.fit, self.windows
-        failed: set = set()
-        chosen: list[tuple[int, ...]] = []
-        found = 0
+    def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
+        nonlocal found
+        # all n*m boxes are placed and no row exceeds m: the box is full
+        if c == m:
+            found += 1
+            yield list(chosen)
+            return
+        key = (c, rho, prev)
+        if c in windows and not in_window(c, rho):
+            failed.add(key)
+            return
+        before = found
+        blk, v = cols[c]
+        in_block = c + 1 < m and cols[c + 1][0] == blk
+        for col in _column_options(rho, prev, v, n, m, fit[c]):
+            child = (c + 1, tuple(map(add, rho, col)), col if in_block else None)
+            if child in failed:
+                continue
+            chosen.append(col)
+            yield from go(*child)
+            chosen.pop()
+        if found == before:
+            failed.add(key)
 
-        def go(c: int, rho: tuple[int, ...], prev: tuple[int, ...] | None):
-            nonlocal found
-            # all n*m boxes are placed and no row exceeds m: the box is full
-            if c == m:
-                found += 1
-                yield list(chosen)
-                return
-            key = (c, rho, prev)
-            if c in windows and not self.in_window(c, rho):
-                failed.add(key)
-                return
-            before = found
-            blk, v = cols[c]
-            in_block = c + 1 < m and cols[c + 1][0] == blk
-            for col in _column_options(rho, prev, v, n, m, fit[c]):
-                child = (c + 1, tuple(map(add, rho, col)), col if in_block else None)
-                if child in failed:
-                    continue
-                chosen.append(col)
-                yield from go(*child)
-                chosen.pop()
-            if found == before:
-                failed.add(key)
-
-        yield from go(0, (0,) * n, None)
+    yield from go(0, (0,) * n, None)
 
 
 def _from_columns(
@@ -429,7 +419,7 @@ def find_config(ranks: Sequence[int], dim: int) -> ConfigMatrix | None:
     in the order given (the count and existence do not depend on the order).
     """
     ranks, dim = check_instance(ranks, dim)
-    columns = next(_Search(ranks, dim).enumerate(), None)
+    columns = next(_search(ranks, dim), None)
     return None if columns is None else _from_columns(columns, ranks, dim)
 
 
@@ -468,7 +458,7 @@ def iter_configs(ranks: Sequence[int], dim: int) -> Iterator[ConfigMatrix]:
     building any certificate.
     """
     ranks, dim = check_instance(ranks, dim)
-    for columns in _Search(ranks, dim).enumerate():
+    for columns in _search(ranks, dim):
         yield _from_columns(columns, ranks, dim)
 
 

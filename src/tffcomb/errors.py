@@ -58,7 +58,7 @@ class DegenerateDual(TFFCombError):
 
 
 class NotATFFSequence(TFFCombError):
-    """Numerical realization requested for a sequence that is not tight."""
+    """Certificate or realization requested for a sequence that is not tight."""
 
 
 class InvalidMultiplicity(TFFCombError):
@@ -71,7 +71,3 @@ class InvalidParameter(TFFCombError):
 
 class ConvergenceFailure(TFFCombError):
     """Optimizer failed to reach the target residual within the restart budget."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual

@@ -134,19 +134,3 @@ def partitions_of(
 
     yield from rec(n, first, ())
 
-
-def partitions_in_box(
-    total: int, height: int, width: int
-) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` with at most ``height`` parts, each <= width."""
-
-    def rec(remaining: int, rows_left: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        if rows_left == 0 or cap == 0 or remaining > rows_left * cap:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, rows_left - 1, part, prefix + (part,))
-
-    yield from rec(total, height, width, ())

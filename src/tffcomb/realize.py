@@ -42,7 +42,6 @@ class ProjectionSet:
 
     dim: int
     blocks: tuple[np.ndarray, ...]
-    tol: float
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -51,15 +50,6 @@ class ProjectionSet:
     @property
     def alpha(self) -> Fraction:
         return Fraction(sum(self.ranks), self.dim)
-
-    def projections(self) -> list[np.ndarray]:
-        return [b @ b.T for b in self.blocks]
-
-    def projection_sum(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for b in self.blocks:
-            out += b @ b.T
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,27 +65,41 @@ class ProjectionSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, tol: float = DEFAULT_TOL) -> "ProjectionSet":
+    def from_json_dict(cls, data: dict) -> "ProjectionSet":
+        """Inverse of to_json_dict.  Raises MalformedInput for any other
+        layout: a missing key, a bad dim or rank, or a basis that is not
+        ``rank`` vectors of ``dim`` finite numbers."""
         if not isinstance(data, dict):
             raise MalformedInput(
                 f"ProjectionSet JSON must be an object, got {type(data).__name__}"
             )
-        items = data["blocks"]
-        if not isinstance(items, list) or not all(isinstance(b, dict) for b in items):
-            raise MalformedInput("ProjectionSet blocks must be a list of objects")
         try:
+            items = data["blocks"]
+            if not isinstance(items, list) or not all(
+                isinstance(b, dict) for b in items
+            ):
+                raise MalformedInput("ProjectionSet blocks must be a list of objects")
             ranks, dim = check_instance([item["rank"] for item in items], data["dim"])
-        except InvalidRanks as exc:
+            bases = [np.asarray(item["basis"]) for item in items]
+        except KeyError as exc:
+            raise MalformedInput(f"ProjectionSet JSON has no {exc} key") from exc
+        except (InvalidRanks, ValueError) as exc:
+            # InvalidRanks for dim and ranks, ValueError for ragged bases
             raise MalformedInput(f"ProjectionSet: {exc}") from exc
         blocks = []
-        for item, rank in zip(items, ranks):
-            cols = np.array(item["basis"], dtype=float).T
-            if cols.shape != (dim, rank):
-                raise ValueError(
-                    f"basis shape {cols.shape} does not match dim/rank"
+        for basis, rank in zip(bases, ranks):
+            # numeric numpy kinds; true/false read as 1/0, as in ConfigMatrix
+            if (
+                basis.dtype.kind not in "biuf"
+                or basis.shape != (rank, dim)
+                or not np.isfinite(basis).all()
+            ):
+                raise MalformedInput(
+                    f"ProjectionSet basis must be {rank} vectors of {dim}"
+                    " finite numbers"
                 )
-            blocks.append(cols)
-        return cls(dim=dim, blocks=tuple(blocks), tol=tol)
+            blocks.append(basis.astype(float).T)
+        return cls(dim=dim, blocks=tuple(blocks))
 
     def to_csv(self) -> str:
         """Concatenated basis matrix, one comma-separated line per row."""
@@ -111,8 +115,6 @@ class VerificationReport:
     block_orthonormality: tuple[float, ...]
     block_idempotence: tuple[float, ...]
     block_ranks: tuple[int, ...]
-    expected_ranks: tuple[int, ...]
-    tol: float
     passed: bool
 
     def __bool__(self) -> bool:
@@ -264,7 +266,7 @@ def realize_tff(
     kblocks = len(ranks)
     eye = np.eye(dim)
     if all(r == dim for r in ranks):
-        return ProjectionSet(dim=dim, blocks=(eye,) * kblocks, tol=tol)
+        return ProjectionSet(dim=dim, blocks=(eye,) * kblocks)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(max_restarts):
@@ -275,7 +277,7 @@ def realize_tff(
             residual = sum(projs) - alpha * eye
             res = float(np.linalg.norm(residual))
             if res <= tol:
-                return ProjectionSet(dim=dim, blocks=tuple(bases), tol=tol)
+                return ProjectionSet(dim=dim, blocks=tuple(bases))
             history.append(res)
             if (
                 len(history) > _STALL_WINDOW
@@ -289,8 +291,7 @@ def realize_tff(
         best = min(best, history[-1] if history else np.inf)
     raise ConvergenceFailure(
         f"no realization within {max_restarts} restarts"
-        f" (best residual {best:.3e}, tol {tol:.1e})",
-        best_residual=best,
+        f" (best residual {best:.3e}, tol {tol:.1e})"
     )
 
 
@@ -320,19 +321,16 @@ def verify_tff(
         idem.append(float(np.linalg.norm(proj @ proj - proj)))
         nranks.append(int(np.sum(np.linalg.svd(b, compute_uv=False) > 0.5)))
     sum_res = float(np.linalg.norm(total - alpha * eye))
-    expected = s.ranks
     passed = (
         sum_res <= tol
         and all(x <= tol for x in orth)
         and all(x <= tol for x in idem)
-        and tuple(nranks) == expected
+        and tuple(nranks) == s.ranks
     )
     return VerificationReport(
         sum_residual=sum_res,
         block_orthonormality=tuple(orth),
         block_idempotence=tuple(idem),
         block_ranks=tuple(nranks),
-        expected_ranks=expected,
-        tol=tol,
         passed=passed,
     )

@@ -9,7 +9,8 @@ every block out of the matrix and rebuild the mu-chain, as the package's
 first implementation of the certificate dualities did.  The reference
 walk is the certificate search as it was before the Littlewood-Richardson
 support pruning: the same column order, pruned only by prefix feasibility
-and the last block's forced start.
+and the last block's forced start.  ``partitions_in_box`` lists the shapes
+of a box, which the tests sweep over.
 """
 
 from itertools import islice, product
@@ -18,13 +19,24 @@ from typing import Iterator
 
 from tffcomb import ConfigMatrix, lr_oracle, validate_config
 from tffcomb.errors import DegenerateDual, InvalidCertificate
-from tffcomb.partitions import (
-    as_partition,
-    conjugate,
-    contains,
-    pad,
-    partitions_in_box,
-)
+from tffcomb.partitions import as_partition, conjugate, contains, pad
+
+
+def partitions_in_box(
+    total: int, height: int, width: int
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` with at most ``height`` parts, each <= width."""
+
+    def rec(remaining: int, rows_left: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        if rows_left == 0 or cap == 0 or remaining > rows_left * cap:
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - part, rows_left - 1, part, prefix + (part,))
+
+    yield from rec(total, height, width, ())
 
 
 def _compositions(total, length):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tffcomb.cli import main
 
@@ -322,11 +328,19 @@ class TestRealizeVerify:
         assert code == 2
         assert "residual" not in err
 
-    def test_malformed_certificate_file_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim": 3}',
+         '{"ranks": [1, 1, 1], "entries": [[2, 1, 0], [0, 1, 2]]}',
+         '{"dim": 2, "ranks": [1, 1, 1]}'],
+        ids=["no-ranks", "no-dim", "no-entries"],
+    )
+    def test_malformed_certificate_file_exit_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"dim": 3}')
+        bad.write_text(text)
         code, _, err = run(capsys, "dual-config", "--in", str(bad), "--spatial")
         assert code == 2
+        assert "certificate JSON has no" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -345,8 +359,19 @@ class TestRealizeVerify:
         [{"dim": 2, "blocks": [1]}, {"dim": 2, "blocks": 5},
          # truncated to dim 2 and two rank-1 blocks these form a tight frame
          {"dim": 2.5, "blocks": [{"rank": 1.9, "basis": [[1, 0]]},
-                                 {"rank": 1.9, "basis": [[0, 1]]}]}],
-        ids=["block-not-object", "blocks-not-list", "non-integral"],
+                                 {"rank": 1.9, "basis": [[0, 1]]}]},
+         {"dim": 2, "blocks": [{"rank": 1, "basis": [[{}, 0]]}]},
+         {"dim": 2, "blocks": [{"rank": 1, "basis": [[None, 0]]}]},
+         {"dim": 2, "blocks": [{"rank": 1, "basis": [["1", 0]]}]},
+         {"dim": 2, "blocks": [{"rank": 1, "basis": [[float("inf"), 0]]}]},
+         {"dim": 2, "blocks": [{"rank": 1}]},
+         {"blocks": [{"rank": 1, "basis": [[1, 0]]}]},
+         {"dim": 2},
+         {"dim": 2, "blocks": [{"rank": 1, "basis": [[1, 0, 0]]}]},
+         {"dim": 2, "blocks": [{"rank": 2, "basis": [[1, 0], [1]]}]}],
+        ids=["block-not-object", "blocks-not-list", "non-integral",
+             "object-entry", "null-entry", "string-entry", "infinite-entry",
+             "no-basis", "no-dim", "no-blocks", "wrong-shape", "ragged"],
     )
     def test_malformed_projection_set_exit_2(self, capsys, tmp_path, data):
         bad = tmp_path / "p.json"
@@ -387,3 +412,126 @@ class TestRealizeVerify:
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+
+
+CERT_DOC = {"dim": 2, "ranks": [1, 1, 1], "entries": [[2, 1, 0], [0, 1, 2]]}
+FRAME_DOC = {"dim": 2, "blocks": [{"rank": 1, "basis": [[1.0, 0.0]]},
+                                  {"rank": 1, "basis": [[0.0, 1.0]]}]}
+# where a mistyped file replaces or deletes a value, leaves weighted up
+DOC_PATHS = {
+    "cert": [("dim",), ("ranks",), ("entries",), ("ranks", 0), ("entries", 0),
+             ("entries", 0, 0), ("entries", 1, 2)],
+    "frame": [("dim",), ("blocks",), ("blocks", 0), ("blocks", 0, "rank"),
+              ("blocks", 0, "basis"), ("blocks", 0, "basis", 0),
+              ("blocks", 0, "basis", 0, 0), ("blocks", 1, "basis", 0, 1)],
+}
+DELETE = object()
+MISTYPED = [DELETE, None, {}, [], "x", 2.5, -1, 10 ** 400, float("inf")]
+SMALL_DIMS = st.integers(-1, 5).map(str)
+RANK_LISTS = st.lists(st.integers(-1, 6), max_size=5).map(
+    lambda xs: ",".join(map(str, xs)))
+ALPHAS = st.sampled_from(
+    ["1", "3/2", "5/3", "2", "7/4", "5/2", "1/2", "0", "-1", "x"])
+
+
+@st.composite
+def input_files(draw, kind):
+    """Text of a JSON ``--in`` file, mostly of the ``kind`` the command
+    reads: valid, truncated, or with one value mistyped or deleted."""
+    kind = draw(st.sampled_from([kind, kind, kind, *DOC_PATHS]))
+    doc = json.loads(json.dumps(CERT_DOC if kind == "cert" else FRAME_DOC))
+    form = draw(st.sampled_from(["valid", "truncated", "mistyped", "mistyped"]))
+    if form == "mistyped":
+        *route, last = draw(st.sampled_from(DOC_PATHS[kind]))
+        node = doc
+        for key in route:
+            node = node[key]
+        value = draw(st.sampled_from(MISTYPED))
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    text = json.dumps(doc)
+    if form == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _opt(draw, flag, values):
+    return [flag, draw(values)] if draw(st.booleans()) else []
+
+
+@st.composite
+def invocations(draw, command):
+    """An argv for ``command`` with small bounded values, and the text of
+    its ``--in`` file (None when it reads none)."""
+    argv = [command]
+    text = None
+    if command in ("decide", "count", "certificate", "check-bounds"):
+        argv += ["--dim", draw(SMALL_DIMS), "--ranks", draw(RANK_LISTS)]
+        if command == "check-bounds":
+            argv += _opt(draw, "--alpha", ALPHAS)
+    elif command == "tableau":
+        if draw(st.booleans()):
+            text = draw(input_files("cert"))
+        else:
+            argv += _opt(draw, "--dim", SMALL_DIMS)
+            argv += _opt(draw, "--ranks", RANK_LISTS)
+    elif command == "maximal":
+        if draw(st.booleans()):
+            argv += ["--all", "--max-dim", str(draw(st.integers(-1, 4)))]
+        else:
+            argv += _opt(draw, "--alpha", ALPHAS) + _opt(draw, "--dim", SMALL_DIMS)
+    elif command == "enumerate":
+        argv += ["--alpha", draw(ALPHAS), "--dim", draw(SMALL_DIMS)]
+    elif command == "dual":
+        argv += ["--dim", draw(SMALL_DIMS), draw(st.sampled_from(
+            ["--spatial", "--naimark", "--strip", "--alpha-reduce"]))]
+        argv += _opt(draw, "--ranks", RANK_LISTS) + _opt(draw, "--alpha", ALPHAS)
+    elif command == "dual-config":
+        text = draw(input_files("cert"))
+        argv += [draw(st.sampled_from(["--spatial", "--naimark"]))]
+    elif command == "two-proj":
+        argv += ["--dim", draw(SMALL_DIMS), "--p", str(draw(st.integers(-1, 4))),
+                 "--q", str(draw(st.integers(-1, 4))),
+                 "--spectrum", draw(st.sampled_from(
+                     ["3/2:1,1/2:1", "1:2", "2:1,0:1", "1:-1", "3:1", "x"]))]
+    elif command == "realize":
+        argv += ["--dim", draw(SMALL_DIMS), "--ranks", draw(RANK_LISTS),
+                 "--seed", str(draw(st.integers(0, 3))),
+                 "--max-restarts", str(draw(st.integers(0, 2)))]
+        argv += _opt(draw, "--tol", st.sampled_from(["1e-8", "1e-3", "-1", "nan"]))
+    else:
+        text = draw(input_files("frame"))
+        argv += _opt(draw, "--alpha", ALPHAS)
+        argv += _opt(draw, "--tol", st.sampled_from(["1e-8", "-1", "nan"]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, text
+
+
+COMMANDS = ["decide", "count", "certificate", "tableau", "maximal", "enumerate",
+            "dual", "dual-config", "check-bounds", "two-proj", "realize", "verify"]
+
+
+class TestFuzz:
+    @given(st.tuples(*map(invocations, COMMANDS)))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_every_subcommand_exits_0_to_3(self, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            infile = os.path.join(tmp, "in.json")
+            for argv, text in runs:
+                if text is not None:
+                    with open(infile, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                    argv = [argv[0], "--in", infile, *argv[1:]]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the options
+                        code = exc.code
+                assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+                assert "Traceback" not in err.getvalue()

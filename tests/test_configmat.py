@@ -22,6 +22,7 @@ from oracles import (
     brute_count_configs,
     chain_count_configs,
     hook_completion_oracle,
+    partitions_in_box,
     reference_columns,
 )
 from tffcomb import (
@@ -48,7 +49,7 @@ from tffcomb.errors import (
     InvalidShape,
     SizeMismatch,
 )
-from tffcomb.partitions import partitions_in_box, partitions_of
+from tffcomb.partitions import partitions_of
 
 
 class TestValidate:
@@ -199,6 +200,15 @@ class TestValidateOnce:
         assert repr(checked) == repr(plain)
         assert checked.to_json_dict() == plain.to_json_dict()
         assert ConfigMatrix.from_json_dict(checked.to_json_dict()) == plain
+
+
+class TestNoHiddenState:
+    def test_checked_certificate_holds_only_its_fields(self):
+        cert = ConfigMatrix(4, (2, 2, 2, 1), CERT_4x7_RANKS_2221.entries)
+        for use in (config_spatial_dual, config_naimark_dual,
+                    mu_chain, tableau_cells):
+            use(cert)
+        assert vars(cert).keys() == {"dim", "ranks", "entries"}
 
 
 class TestFindConfig:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import partitions_in_box
 from tffcomb.errors import DoesNotFit, NotDominated
 from tffcomb.partitions import (
     as_partition,
@@ -12,7 +13,6 @@ from tffcomb.partitions import (
     dominance_leq,
     dual_in_rectangle,
     majorization_chain,
-    partitions_in_box,
     partitions_of,
 )
 

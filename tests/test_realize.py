@@ -21,6 +21,7 @@ from tffcomb import (
 from tffcomb.errors import (
     InvalidMultiplicity,
     InvalidParameter,
+    MalformedInput,
     NotATFFSequence,
 )
 
@@ -74,7 +75,7 @@ def reference_projection_set():
     for rank in REFERENCE_BASIS_RANKS:
         blocks.append(cols[:, start:start + rank])
         start += rank
-    return ProjectionSet(dim=6, blocks=tuple(blocks), tol=1e-8)
+    return ProjectionSet(dim=6, blocks=tuple(blocks))
 
 
 class TestValidateMultiplicity:
@@ -245,7 +246,7 @@ class TestVerify:
         bad = blocks[1].copy()
         bad[0, 0] += 1e-3
         blocks[1] = bad
-        perturbed = ProjectionSet(dim=6, blocks=tuple(blocks), tol=1e-8)
+        perturbed = ProjectionSet(dim=6, blocks=tuple(blocks))
         rep = verify_tff(perturbed, alpha=Fraction(11, 6), tol=1e-8)
         assert not rep.passed
         assert rep.sum_residual >= 1e-4
@@ -264,6 +265,12 @@ class TestSerialization:
         for x, y in zip(ps.blocks, back.blocks):
             assert np.allclose(x, y)
         assert verify_tff(back, tol=1e-6).passed
+
+    def test_malformed_basis_is_typed_error(self):
+        # an object in place of a number must not reach numpy's float cast
+        data = {"dim": 2, "blocks": [{"rank": 1, "basis": [[{}, 0]]}]}
+        with pytest.raises(MalformedInput, match="ProjectionSet"):
+            ProjectionSet.from_json_dict(data)
 
     def test_csv_shape(self):
         ps = reference_projection_set()
