@@ -138,15 +138,13 @@ def _cmd_tableau(args) -> int:
         return EXIT_USAGE
     else:
         cert = _find_certificate(args)
-    text = configmat.render_tableaux(cert)
+    cells = configmat.tableau_cells(cert)
     payload = {
         "dim": cert.dim,
         "ranks": list(cert.ranks),
-        "cells": [
-            [[k, v] for (k, v) in row] for row in configmat.tableau_cells(cert)
-        ],
+        "cells": [[[k, v] for (k, v) in row] for row in cells],
     }
-    _emit(payload, text, args.json)
+    _emit(payload, configmat._tableau_text(cells), args.json)
     return EXIT_OK
 
 
@@ -340,7 +338,9 @@ def _cmd_realize(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         pset = realize.ProjectionSet.from_json_dict(json.load(fh))
-    alpha = args.alpha if args.alpha is not None else pset.alpha
+    alpha = pset.alpha
+    if args.alpha is not None:
+        alpha = configmat.check_alpha(args.alpha, pset.dim)[0]
     report = realize.verify_tff(pset, alpha=alpha, tol=args.tol)
     payload = {
         "dim": pset.dim,

@@ -499,10 +499,11 @@ def tableau_cells(a: ConfigMatrix) -> list[list[tuple[int, int]]]:
 
 def render_tableaux(a: ConfigMatrix) -> str:
     """UTF-8 grid of the union skew tableau, one ``block:value`` cell per box."""
-    rows = tableau_cells(a)
-    return "\n".join(
-        " ".join(f"{k}:{v}" for (k, v) in row) for row in rows
-    )
+    return _tableau_text(tableau_cells(a))
+
+
+def _tableau_text(rows: list[list[tuple[int, int]]]) -> str:
+    return "\n".join(" ".join(f"{k}:{v}" for (k, v) in row) for row in rows)
 
 
 def lr_oracle(

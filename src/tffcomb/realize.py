@@ -225,11 +225,6 @@ def _orthonormal(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     return qmat[:, :rank]
 
 
-def _top_eigvecs(sym: np.ndarray, rank: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(sym)
-    return vecs[:, -rank:]
-
-
 def _check_tol(tol: float) -> None:
     if not tol >= 0:
         raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
@@ -247,7 +242,9 @@ def realize_tff(
     Alternates between the affine constraint (subtract the shared residual
     from every block) and the product of fixed-rank projection manifolds
     (spectral truncation), restarting from fresh random orthonormal bases up
-    to ``max_restarts`` times.  Deterministic for a fixed seed.  Raises
+    to ``max_restarts`` times.  Every block truncates against the same
+    residual (a Jacobi step), so one stacked eigendecomposition per iteration
+    serves all blocks.  Deterministic for a fixed seed.  Raises
     InvalidParameter unless ``max_restarts >= 1`` and ``tol >= 0``; a zero
     tolerance demands an exact realization.
     """
@@ -267,14 +264,17 @@ def realize_tff(
     eye = np.eye(dim)
     if all(r == dim for r in ranks):
         return ProjectionSet(dim=dim, blocks=(eye,) * kblocks)
+    # eigh sorts eigenvalues ascending, so block k keeps its last ranks[k]
+    # eigenvectors
+    keep = np.arange(dim) >= dim - np.array(ranks)[:, None]
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(max_restarts):
         bases = [_orthonormal(rng, dim, r) for r in ranks]
-        projs = [b @ b.T for b in bases]
+        projs = np.stack([b @ b.T for b in bases])
         history: list[float] = []
         for _ in range(_MAX_ITER):
-            residual = sum(projs) - alpha * eye
+            residual = projs.sum(axis=0) - alpha * eye
             res = float(np.linalg.norm(residual))
             if res <= tol:
                 return ProjectionSet(dim=dim, blocks=tuple(bases))
@@ -284,10 +284,9 @@ def realize_tff(
                 and history[-1] > _STALL_FACTOR * history[-_STALL_WINDOW]
             ):
                 break
-            for k in range(kblocks):
-                target = projs[k] - residual / kblocks
-                bases[k] = _top_eigvecs(target, ranks[k])
-                projs[k] = bases[k] @ bases[k].T
+            _, vecs = np.linalg.eigh(projs - residual / kblocks)
+            projs = (vecs * keep[:, None, :]) @ vecs.transpose(0, 2, 1)
+            bases = [v[:, -r:] for v, r in zip(vecs, ranks)]
         best = min(best, history[-1] if history else np.inf)
     raise ConvergenceFailure(
         f"no realization within {max_restarts} restarts"

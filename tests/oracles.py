@@ -10,15 +10,19 @@ first implementation of the certificate dualities did.  The reference
 walk is the certificate search as it was before the Littlewood-Richardson
 support pruning: the same column order, pruned only by prefix feasibility
 and the last block's forced start.  ``partitions_in_box`` lists the shapes
-of a box, which the tests sweep over.
+of a box, which the tests sweep over.  The reference realizer is the
+alternating-projection loop as it was before the blocks shared one stacked
+eigendecomposition: one ``eigh`` call and one projection per block.
 """
 
 from itertools import islice, product
 from operator import add
 from typing import Iterator
 
-from tffcomb import ConfigMatrix, lr_oracle, validate_config
-from tffcomb.errors import DegenerateDual, InvalidCertificate
+import numpy as np
+
+from tffcomb import ConfigMatrix, ProjectionSet, lr_oracle, validate_config
+from tffcomb.errors import ConvergenceFailure, DegenerateDual, InvalidCertificate
 from tffcomb.partitions import as_partition, conjugate, contains, pad
 
 
@@ -378,3 +382,56 @@ def reference_columns(ranks, dim, limit=None):
     """The first ``limit`` (all, for None) certificates of the reference
     walk, each as a list of columns."""
     return list(islice(ReferenceSearch(tuple(ranks), dim).enumerate(), limit))
+
+
+_REF_MAX_ITER = 4000
+_REF_STALL_WINDOW = 60
+_REF_STALL_FACTOR = 0.9995
+
+
+def _orthonormal(rng, dim, rank):
+    mat = rng.standard_normal((dim, rank))
+    qmat, _ = np.linalg.qr(mat)
+    return qmat[:, :rank]
+
+
+def _top_eigvecs(sym, rank):
+    vals, vecs = np.linalg.eigh(sym)
+    return vecs[:, -rank:]
+
+
+def reference_realize(ranks, dim, seed, tol=1e-8, max_restarts=20):
+    """The realizer's loop with one eigendecomposition per block, for
+    weakly decreasing ``ranks`` of a tight sequence; the same restarts,
+    random draws, stall rule and tolerance test as ``realize_tff``."""
+    alpha = sum(ranks) / dim
+    kblocks = len(ranks)
+    eye = np.eye(dim)
+    if all(r == dim for r in ranks):
+        return ProjectionSet(dim=dim, blocks=(eye,) * kblocks)
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(max_restarts):
+        bases = [_orthonormal(rng, dim, r) for r in ranks]
+        projs = [b @ b.T for b in bases]
+        history = []
+        for _ in range(_REF_MAX_ITER):
+            residual = sum(projs) - alpha * eye
+            res = float(np.linalg.norm(residual))
+            if res <= tol:
+                return ProjectionSet(dim=dim, blocks=tuple(bases))
+            history.append(res)
+            if (
+                len(history) > _REF_STALL_WINDOW
+                and history[-1] > _REF_STALL_FACTOR * history[-_REF_STALL_WINDOW]
+            ):
+                break
+            for k in range(kblocks):
+                target = projs[k] - residual / kblocks
+                bases[k] = _top_eigvecs(target, ranks[k])
+                projs[k] = bases[k] @ bases[k].T
+        best = min(best, history[-1] if history else np.inf)
+    raise ConvergenceFailure(
+        f"no realization within {max_restarts} restarts"
+        f" (best residual {best:.3e}, tol {tol:.1e})"
+    )

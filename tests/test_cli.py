@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tffcomb import configmat, render_tableaux, validate_config
 from tffcomb.cli import main
 
 
@@ -95,6 +96,23 @@ class TestCountAndCertificate:
         code, _, err = run(capsys, "tableau", *argv)
         assert code == 2
         assert "need --ranks and --dim" in err
+
+    @pytest.mark.parametrize("argv", [("--json",), ()], ids=["json", "text"])
+    def test_tableau_validates_once(self, capsys, tmp_path, monkeypatch, argv):
+        target = tmp_path / "cert.json"
+        run(capsys, "certificate", "--dim", "4", "--ranks", "2,2,2,1",
+            "--json", "--out", str(target))
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return validate_config(a)
+
+        monkeypatch.setattr(configmat, "validate_config", counting)
+        code, out, _ = run(capsys, "tableau", "--in", str(target), *argv)
+        assert code == 0 and len(calls) == 1
+        if not argv:
+            assert out == render_tableaux(calls[0]) + "\n"
 
 
 class TestMaximal:
@@ -296,6 +314,17 @@ class TestRealizeVerify:
         code, out, err = run(capsys, "verify", "--in", str(frame), "--tol", tol)
         assert code == 2 and out == ""
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "1/2"])
+    def test_verify_bad_alpha_exit_2(self, capsys, tmp_path, alpha):
+        # a bound below 1 is a usage error, as in check-bounds, not a FAIL
+        frame = tmp_path / "frame.json"
+        run(capsys, "realize", "--dim", "3", "--ranks", "2,1,1,1,1",
+            "--seed", "0", "--out", str(frame))
+        code, out, err = run(capsys, "verify", "--in", str(frame),
+                             "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "frame bound must be at least 1" in err
 
     def test_realize_not_tight(self, capsys):
         code, _, err = run(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import reference_realize
 from refdata import (
     CERT_6x11_RANKS_42221,
     REFERENCE_BASIS_6x11,
@@ -12,6 +13,7 @@ from refdata import (
 )
 from tffcomb import (
     ProjectionSet,
+    enumerate_tff,
     realize_tff,
     spectrum_chain,
     two_projection_sum,
@@ -19,6 +21,7 @@ from tffcomb import (
     verify_tff,
 )
 from tffcomb.errors import (
+    ConvergenceFailure,
     InvalidMultiplicity,
     InvalidParameter,
     MalformedInput,
@@ -227,6 +230,39 @@ class TestRealize:
     def test_verifier_passes_its_output(self):
         ps = realize_tff((3, 2, 2, 2), 4, seed=2, tol=1e-9)
         assert verify_tff(ps, tol=1e-9).passed
+
+
+SMALL_TIGHT = [
+    (ranks, dim)
+    for dim in range(2, 6)
+    for num in range(dim + 1, 2 * dim + 1)
+    for ranks in enumerate_tff(Fraction(num, dim), dim)
+]
+
+
+def _realize_or_failure(realizer, ranks, dim, seed):
+    try:
+        return realizer(ranks, dim, seed)
+    except ConvergenceFailure as exc:
+        return str(exc)
+
+
+class TestStackedKernel:
+    def test_agrees_with_per_block_loop(self):
+        # every tight sequence with dim <= 5 and 1 < alpha <= 2, seeded by
+        # its index: the stacked eigendecomposition gives the frames of the
+        # per-block loop, and both fail to converge together
+        assert len(SMALL_TIGHT) == 90
+        for seed, (ranks, dim) in enumerate(SMALL_TIGHT):
+            got = _realize_or_failure(realize_tff, ranks, dim, seed)
+            want = _realize_or_failure(reference_realize, ranks, dim, seed)
+            assert type(got) is type(want), (ranks, dim, got, want)
+            if isinstance(want, str):
+                continue
+            assert got.ranks == want.ranks == ranks
+            for x, y in zip(got.blocks, want.blocks):
+                assert np.allclose(x, y, atol=1e-10), (ranks, dim)
+            assert verify_tff(got, tol=1e-8).passed, (ranks, dim)
 
 
 class TestVerify:
