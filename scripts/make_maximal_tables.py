@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the catalog of maximal tight sequences as one JSON document.
 
-Equivalent to `tffcomb maximal --all --max-dim N --json`; kept as a script so
-the table build can be timed and inspected cell by cell.
+Writes the same bytes as `tffcomb maximal --all --max-dim N --json`, since
+both build each cell with the CLI's payload; kept as a script so the table
+build can be timed and inspected cell by cell on stderr.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from tffcomb import maximal_elements
+from tffcomb.cli import _maximal_payload
 
 
 def main() -> int:
@@ -26,15 +27,14 @@ def main() -> int:
         for total in range(dim, 2 * dim + 1):
             alpha = Fraction(total, dim)
             cell_start = time.time()
-            tops = maximal_elements(alpha, dim)
+            cell = _maximal_payload(alpha, dim)
             print(
                 f"dim {dim:2d}  alpha {str(alpha):>5s}  "
-                f"{len(tops)} maximal  ({time.time() - cell_start:.2f}s)",
+                f"{len(cell['maximal'])} maximal"
+                f"  ({time.time() - cell_start:.2f}s)",
                 file=sys.stderr,
             )
-            tables.append(
-                {"dim": dim, "alpha": str(alpha), "maximal": [list(t) for t in tops]}
-            )
+            tables.append(cell)
     print(f"total {time.time() - started:.1f}s", file=sys.stderr)
     body = json.dumps({"max_dim": args.max_dim, "tables": tables}, indent=2)
     if args.out:

@@ -5,8 +5,10 @@ Exit codes: 0 affirmative/success, 1 negative decision or failed check,
 is the one place that turns an exception into an exit code, after printing
 ``error: <message>``: NotATFFSequence gives 1, ConvergenceFailure 3, and any
 other TFFCombError, OSError, ValueError or KeyError (a bad option or input
-file) 2.  Every subcommand takes ``--json`` for machine-readable output;
-rationals are written as "p/q" and rank lists as comma-separated integers.
+file) 2; so a subcommand missing an option raises InvalidParameter.  Each
+duality flag stores its kind, which ``DUALS`` maps to the duality maps.
+Every subcommand takes ``--json`` for machine-readable output; rationals are
+written as "p/q" and rank lists as comma-separated integers.
 """
 
 from __future__ import annotations
@@ -14,18 +16,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
 from . import configmat, dualities, realize, tffcore
 from .configmat import ConfigMatrix
-from .errors import ConvergenceFailure, NotATFFSequence, TFFCombError
+from .errors import (
+    ConvergenceFailure, InvalidParameter, NotATFFSequence, TFFCombError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# duality kind -> (sequence-level map, certificate-level map)
+DUALS = {
+    "spatial": (dualities.spatial_dual, dualities.config_spatial_dual),
+    "naimark": (dualities.naimark_dual, dualities.config_naimark_dual),
+    "strip": (dualities.recur_strip, None),
+}
 
 
 def _parse_ranks(text: str) -> tuple[int, ...]:
@@ -134,8 +145,7 @@ def _cmd_tableau(args) -> int:
     if args.infile:
         cert = _load_config(args.infile)
     elif args.ranks is None or args.dim is None:
-        print("tableau: need --ranks and --dim (or --in)", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameter("need --ranks and --dim (or --in)")
     else:
         cert = _find_certificate(args)
     cells = configmat.tableau_cells(cert)
@@ -160,8 +170,7 @@ def _maximal_payload(alpha: Fraction, dim: int) -> dict:
 def _cmd_maximal(args) -> int:
     if args.all:
         if args.max_dim < 1:
-            print("maximal: --max-dim must be positive", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParameter("--max-dim must be positive")
         tables = []
         for dim in range(1, args.max_dim + 1):
             for total in range(dim, 2 * dim + 1):
@@ -176,8 +185,7 @@ def _cmd_maximal(args) -> int:
         _emit(payload, text, args.json, args.out)
         return EXIT_OK
     if args.alpha is None or args.dim is None:
-        print("maximal: need --alpha and --dim (or --all)", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameter("need --alpha and --dim (or --all)")
     payload = _maximal_payload(args.alpha, args.dim)
     text = "\n".join(str(m) for m in payload["maximal"])
     _emit(payload, text, args.json, args.out)
@@ -196,10 +204,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    if args.alpha_reduce:
+    if args.kind == "alpha-reduce":
         if args.alpha is None:
-            print("dual --alpha-reduce needs --alpha", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParameter("--alpha-reduce needs --alpha")
         new_alpha, new_dim = dualities.alpha_reduce(args.alpha, args.dim)
         payload = {
             "dual": "alpha-reduce",
@@ -211,20 +218,11 @@ def _cmd_dual(args) -> int:
         _emit(payload, f"alpha {new_alpha}  dim {new_dim}", args.json)
         return EXIT_OK
     if args.ranks is None:
-        print("dual: need --ranks", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameter("need --ranks")
     ranks = _canonical_ranks(args.ranks, args.dim)
-    if args.spatial:
-        kind = "spatial"
-        new_ranks, new_dim = dualities.spatial_dual(ranks, args.dim)
-    elif args.naimark:
-        kind = "naimark"
-        new_ranks, new_dim = dualities.naimark_dual(ranks, args.dim)
-    else:
-        kind = "strip"
-        new_ranks, new_dim = dualities.recur_strip(ranks, args.dim)
+    new_ranks, new_dim = DUALS[args.kind][0](ranks, args.dim)
     payload = {
-        "dual": kind,
+        "dual": args.kind,
         "source_ranks": list(ranks),
         "source_dim": args.dim,
         "ranks": list(new_ranks),
@@ -236,13 +234,8 @@ def _cmd_dual(args) -> int:
 
 def _cmd_dual_config(args) -> int:
     cert = _load_config(args.infile)
-    if args.spatial:
-        dual = dualities.config_spatial_dual(cert)
-        kind = "spatial"
-    else:
-        dual = dualities.config_naimark_dual(cert)
-        kind = "naimark"
-    payload = {"dual": kind, "source_ranks": list(cert.ranks)}
+    dual = DUALS[args.kind][1](cert)
+    payload = {"dual": args.kind, "source_ranks": list(cert.ranks)}
     payload.update(dual.to_json_dict())
     _emit(payload, _matrix_text(dual), args.json, args.out)
     return EXIT_OK
@@ -254,27 +247,23 @@ def _cmd_check_bounds(args) -> int:
     if args.alpha is not None:
         alpha = configmat.check_alpha(args.alpha, args.dim)[0]
     padded = ranks + (0, 0, 0)
-    results: dict[str, bool | None] = {}
-    if 1 < alpha < 2:
-        results["first3"] = tffcore.first3_check(
-            padded[0], padded[1], padded[2], alpha, args.dim
-        )
-    else:
-        results["first3"] = None
-    results["k_block"] = tffcore.k_block_bound(ranks, args.dim, alpha)
-    failed = [name for name, ok in results.items() if ok is False]
+    checks = {
+        "first3": tffcore.first3_check(*padded[:3], alpha, args.dim)
+        if 1 < alpha < 2 else None,
+        "k_block": tffcore.k_block_bound(ranks, args.dim, alpha),
+    }
     payload = {
         "dim": args.dim,
         "ranks": list(ranks),
         "alpha": str(Fraction(alpha)),
-        "checks": {k: v for k, v in results.items()},
+        "checks": checks,
     }
     lines = [
         f"{name}: {'n/a' if ok is None else ('pass' if ok else 'FAIL')}"
-        for name, ok in results.items()
+        for name, ok in checks.items()
     ]
     _emit(payload, "\n".join(lines), args.json)
-    return EXIT_NEGATIVE if failed else EXIT_OK
+    return EXIT_NEGATIVE if False in checks.values() else EXIT_OK
 
 
 def _parse_spectrum(text: str) -> dict[Fraction, int]:
@@ -346,11 +335,7 @@ def _cmd_verify(args) -> int:
         "dim": pset.dim,
         "ranks": list(pset.ranks),
         "alpha": str(Fraction(alpha)),
-        "sum_residual": report.sum_residual,
-        "block_orthonormality": list(report.block_orthonormality),
-        "block_idempotence": list(report.block_idempotence),
-        "block_ranks": list(report.block_ranks),
-        "passed": report.passed,
+        **asdict(report),
     }
     text = (
         f"sum residual {report.sum_residual:.3e}; "
@@ -369,23 +354,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, instance=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
+        if instance:
+            p.add_argument("--dim", type=int, required=True)
+            p.add_argument("--ranks", type=_parse_ranks, required=True)
         return p
 
-    p = add("decide", _cmd_decide, help="decide tightness of a rank sequence")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", type=_parse_ranks, required=True)
+    def kinds(p, *names):  # one required flag per kind, stored in ``kind``
+        group = p.add_mutually_exclusive_group(required=True)
+        for kind in names:
+            group.add_argument(f"--{kind}", dest="kind", action="store_const",
+                               const=kind)
 
-    p = add("count", _cmd_count, help="count certificate matrices")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", type=_parse_ranks, required=True)
+    add("decide", _cmd_decide, True, help="decide tightness of a rank sequence")
+    add("count", _cmd_count, True, help="count certificate matrices")
 
-    p = add("certificate", _cmd_certificate, help="print one certificate")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", type=_parse_ranks, required=True)
+    p = add("certificate", _cmd_certificate, True, help="print one certificate")
     p.add_argument("--out", help="write to file instead of stdout")
 
     p = add("tableau", _cmd_tableau, help="render the union skew tableau")
@@ -409,24 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ranks", type=_parse_ranks)
     p.add_argument("--alpha", type=_parse_rational)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spatial", action="store_true")
-    group.add_argument("--naimark", action="store_true")
-    group.add_argument("--alpha-reduce", dest="alpha_reduce", action="store_true")
-    group.add_argument("--strip", action="store_true")
+    kinds(p, "spatial", "naimark", "alpha-reduce", "strip")
 
     p = add("dual-config", _cmd_dual_config, help="certificate-level dualities")
     p.add_argument("--in", dest="infile", required=True,
                    help="certificate JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spatial", action="store_true")
-    group.add_argument("--naimark", action="store_true")
+    kinds(p, "spatial", "naimark")
     p.add_argument("--out", help="write to file instead of stdout")
 
-    p = add("check-bounds", _cmd_check_bounds,
+    p = add("check-bounds", _cmd_check_bounds, True,
             help="run the necessary-condition filters")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", type=_parse_ranks, required=True)
     p.add_argument("--alpha", type=_parse_rational,
                    help="defaults to sum(ranks)/dim")
 
@@ -438,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", type=_parse_spectrum, required=True,
                    help='eigenvalue:multiplicity list, e.g. "3/2:1,1/2:1"')
 
-    p = add("realize", _cmd_realize, help="numerically realize a tight sequence")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", type=_parse_ranks, required=True)
+    p = add("realize", _cmd_realize, True,
+            help="numerically realize a tight sequence")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=realize.DEFAULT_TOL)
     p.add_argument("--max-restarts", type=int, default=realize.DEFAULT_RESTARTS)

@@ -68,16 +68,15 @@ def alpha_reduce(alpha: Rational, dim: int) -> tuple[Fraction, int]:
 
 
 def recur_strip(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
-    """Drop a largest rank equal to dim*(alpha-1): tightness of the rest in
-    dimension dim*(alpha-1) is equivalent to tightness of the original."""
-    ranks, dim = check_instance(ranks, dim)
-    ranks = tuple(sorted(ranks, reverse=True))
-    total = sum(ranks)
-    if ranks[0] != total - dim:
+    """Drop a largest rank equal to dim*(alpha-1): the Naimark dual, where
+    that rank is full, then one peel; tightness is preserved.  Raises as
+    naimark_dual does, and PreconditionNotMet for any other top rank."""
+    ranks, co_dim = naimark_dual(ranks, dim)
+    if ranks[0] != co_dim:
         raise PreconditionNotMet(
-            f"top rank {ranks[0]} differs from dim*(alpha-1) = {total - dim}"
+            f"top rank {ranks[0]} differs from dim*(alpha-1) = {co_dim}"
         )
-    return ranks[1:], total - dim
+    return ranks[1:], co_dim
 
 
 def _summands(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -33,8 +33,9 @@ class SizeMismatch(TFFCombError):
     """Partition size is incompatible with the requested completion."""
 
 
-class InvalidShape(TFFCombError):
-    """Rectangle product parameters are out of order."""
+class InvalidShape(TFFCombError, ValueError):
+    """Partition is malformed, or rectangle product parameters are out of
+    order."""
 
 
 class AlphaOutOfRange(TFFCombError):
@@ -65,8 +66,8 @@ class InvalidMultiplicity(TFFCombError):
     """Multiplicity function violates the two-projection spectrum conditions."""
 
 
-class InvalidParameter(TFFCombError):
-    """Numerical option is out of range (e.g. a negative tolerance)."""
+class InvalidParameter(TFFCombError, ValueError):
+    """Option is missing or out of range (e.g. a negative tolerance)."""
 
 
 class ConvergenceFailure(TFFCombError):

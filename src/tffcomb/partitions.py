@@ -3,32 +3,35 @@
 Partitions are plain tuples of weakly decreasing positive integers with no
 trailing zeros; the empty tuple is the empty partition.  All operations are
 pure functions over these tuples, so values are hashable and safe to share.
+Malformed input raises InvalidShape, a ValueError.  One walk,
+``capped_partitions``, generates both ``partitions_of`` and the candidates
+that ``tffcore.maximal_elements`` scans under its prefix-sum caps.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DoesNotFit, NotDominated
+from .errors import DoesNotFit, InvalidShape, NotDominated
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    """Canonicalize ``parts`` (dropping trailing zeros) or raise ValueError."""
+    """Canonicalize ``parts`` (dropping trailing zeros) or raise InvalidShape."""
     p = tuple(int(x) for x in parts)
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
         if x <= 0:
-            raise ValueError(f"partition parts must be positive, got {x}")
+            raise InvalidShape(f"partition parts must be positive, got {x}")
         if i > 0 and p[i - 1] < x:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
+            raise InvalidShape(f"parts must be weakly decreasing, got {p}")
     return p
 
 
 def pad(p: Sequence[int], length: int) -> tuple[int, ...]:
     """Zero-pad ``p`` on the right to the requested length."""
     if len(p) > length:
-        raise ValueError(f"cannot pad {p} down to length {length}")
+        raise InvalidShape(f"cannot pad {p} down to length {length}")
     return tuple(p) + (0,) * (length - len(p))
 
 
@@ -116,21 +119,29 @@ def dual_in_rectangle(p: Sequence[int], width: int, height: int) -> tuple[int, .
     return as_partition(width - padded[height - 1 - i] for i in range(height))
 
 
+def capped_partitions(
+    total: int, max_part: int, caps: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` with parts <= ``max_part`` and the first k
+    parts summing to <= ``caps[k-1]``, in descending lexicographic order; a
+    prefix above its cap is cut with everything that extends it."""
+
+    def rec(remaining: int, cap: int, parts: tuple[int, ...]):
+        if remaining == 0:
+            yield parts
+            return
+        top = min(cap, remaining, caps[len(parts)] - (total - remaining))
+        for part in range(top, 0, -1):
+            yield from rec(remaining - part, part, parts + (part,))
+
+    yield from rec(total, max_part, ())
+
+
 def partitions_of(
     n: int, max_part: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of ``n`` with parts at most ``max_part``, in descending
     lexicographic order (so any partition precedes everything it dominates)."""
-    if n < 0:
-        return
-    first = n if max_part is None else min(n, max_part)
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, first, ())
-
+    if n >= 0:
+        first = n if max_part is None else max_part
+        yield from capped_partitions(n, first, [n] * n)

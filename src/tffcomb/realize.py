@@ -230,6 +230,11 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def realize_tff(
     ranks: Sequence[int],
     dim: int,
@@ -245,13 +250,11 @@ def realize_tff(
     to ``max_restarts`` times.  Every block truncates against the same
     residual (a Jacobi step), so one stacked eigendecomposition per iteration
     serves all blocks.  Deterministic for a fixed seed.  Raises
-    InvalidParameter unless ``max_restarts >= 1`` and ``tol >= 0``; a zero
-    tolerance demands an exact realization.
+    InvalidParameter unless ``seed >= 0`` and ``max_restarts >= 1`` are
+    integers and ``tol >= 0``; a zero tolerance demands an exact realization.
     """
-    if max_restarts < 1:
-        raise InvalidParameter(
-            f"max_restarts must be at least 1, got {max_restarts}"
-        )
+    _check_count("seed", seed, 0)
+    _check_count("max_restarts", max_restarts, 1)
     _check_tol(tol)
     ranks, dim = check_instance(ranks, dim)
     ranks = tuple(sorted(ranks, reverse=True))

@@ -24,8 +24,8 @@ from .dualities import (
     naimark_dual,
     spatial_dual,
 )
-from .errors import AlphaOutOfRange, InvalidRanks
-from .partitions import as_partition, dominance_leq, partitions_of
+from .errors import AlphaOutOfRange, InvalidParameter, InvalidRanks
+from .partitions import as_partition, capped_partitions, dominance_leq, partitions_of
 
 Rational = Fraction | int
 
@@ -120,7 +120,7 @@ def fillmore_feasible(trace: Rational, rank: int) -> bool:
     nonnegative integer at least the rank."""
     trace = Fraction(trace)
     if trace < 0 or rank < 0:
-        raise ValueError("trace and rank must be nonnegative")
+        raise InvalidParameter("trace and rank must be nonnegative")
     return trace.denominator == 1 and trace >= rank
 
 
@@ -204,25 +204,15 @@ def _admissible(alpha: Fraction, dim: int, total: int) -> Iterator[tuple[int, ..
     """The partitions of ``total`` with parts <= ``dim`` that pass
     first3_check and k_block_bound, in the order of ``partitions_of``.
 
-    Both filters cap prefix sums: ``caps[k]`` bounds l1 + ... + l(k+1).  A
-    prefix above its cap is cut with everything that extends it.  The caps
-    never decrease, so a partition within them also passes first3_check's
-    zero padding.
+    Both filters cap prefix sums: ``caps[k]`` bounds l1 + ... + l(k+1).  The
+    caps never decrease, so a partition within them also passes
+    first3_check's zero padding.
     """
     caps = [*_first3_caps(alpha, dim), *[total] * total]
     for k in range(2, total + 1):
         if _k_block_applies(alpha, k):
             caps[k - 1] = min(caps[k - 1], dim)
-
-    def rec(remaining: int, cap: int, parts: tuple[int, ...]):
-        if remaining == 0:
-            yield parts
-            return
-        top = min(cap, remaining, caps[len(parts)] - (total - remaining))
-        for part in range(top, 0, -1):
-            yield from rec(remaining - part, part, parts + (part,))
-
-    yield from rec(total, dim, ())
+    return capped_partitions(total, dim, caps)
 
 
 def unique_maximal(alpha: Rational, dim: int) -> tuple[int, ...] | None:

@@ -202,6 +202,30 @@ class TestDual:
         assert code == 2 and "error" in err
 
 
+class TestUsageErrors:
+    # a subcommand that misses an option raises; main alone maps it to 2
+    @pytest.mark.parametrize(
+        "argv",
+        [("tableau", "--dim", "3"),
+         ("maximal", "--all", "--max-dim", "0"),
+         ("maximal", "--dim", "4"),
+         ("dual", "--dim", "6", "--alpha-reduce"),
+         ("dual", "--dim", "4", "--spatial")],
+        ids=["tableau", "maximal-max-dim", "maximal-alpha", "dual-alpha",
+             "dual-ranks"],
+    )
+    def test_usage_error_goes_through_main(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_strip_at_alpha_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "dual", "--dim", "4", "--ranks", "2,2",
+                             "--strip")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not > 1" in err
+
+
 class TestDualConfig:
     def test_round_trip_via_files(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -347,7 +371,7 @@ class TestRealizeVerify:
         assert "residual" in err
 
     @pytest.mark.parametrize(
-        "option", [("--max-restarts", "0"), ("--tol", "-1")]
+        "option", [("--max-restarts", "0"), ("--tol", "-1"), ("--seed", "-1")]
     )
     def test_bad_realizer_parameters_exit_2(self, capsys, option):
         code, _, err = run(

@@ -110,6 +110,26 @@ class TestRecurStrip:
         with pytest.raises(PreconditionNotMet):
             recur_strip((4, 2, 2, 2, 1), 6)
 
+    def test_is_naimark_dual_then_peel_exhaustive(self):
+        for dim in range(1, 8):
+            for total in range(dim + 1, 3 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    co_ranks, co_dim = naimark_dual(ranks, dim)
+                    if co_ranks[0] != co_dim:
+                        with pytest.raises(PreconditionNotMet):
+                            recur_strip(ranks[::-1], dim)
+                        continue
+                    assert recur_strip(ranks[::-1], dim) == (
+                        co_ranks[1:], co_dim
+                    )
+
+    @pytest.mark.parametrize("ranks, dim", [((2, 1), 4), ((2, 2), 4), ((1,), 1)])
+    def test_alpha_at_most_one_raises_as_naimark_dual(self, ranks, dim):
+        with pytest.raises(AlphaNotGreaterThanOne):
+            naimark_dual(ranks, dim)
+        with pytest.raises(AlphaNotGreaterThanOne):
+            recur_strip(ranks, dim)
+
     def test_membership_equivalence_exhaustive(self):
         for dim in range(2, 7):
             for total in range(dim + 1, 2 * dim + 1):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import partitions_in_box
-from tffcomb.errors import DoesNotFit, NotDominated
+from tffcomb.errors import DoesNotFit, NotDominated, TFFCombError
 from tffcomb.partitions import (
     as_partition,
     conjugate,
@@ -13,6 +13,7 @@ from tffcomb.partitions import (
     dominance_leq,
     dual_in_rectangle,
     majorization_chain,
+    pad,
     partitions_of,
 )
 
@@ -199,3 +200,25 @@ class TestGenerators:
     def test_box_generator(self):
         shapes = list(partitions_in_box(4, 2, 3))
         assert set(shapes) == {(3, 1), (2, 2)}
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_partitions_of_matches_oracle_exhaustive(self, n):
+        # one capped walk serves partitions_of and the candidate scan; with
+        # every prefix cap at n it must still be the plain box enumeration
+        for max_part in range(-1, n + 2):
+            assert list(partitions_of(n, max_part)) == list(
+                partitions_in_box(n, n, max_part)
+            ), max_part
+        assert list(partitions_of(n)) == list(partitions_in_box(n, n, n))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: as_partition((1, 2)), lambda: as_partition((3, -1)),
+     lambda: pad((2, 1), 1), lambda: majorization_chain((1, 2), (3,)),
+     lambda: dual_in_rectangle((2, 3), 3, 2)],
+    ids=["increasing", "negative", "pad-short", "chain", "rectangle"],
+)
+def test_malformed_partition_is_typed_error(call):
+    with pytest.raises(TFFCombError):
+        call()

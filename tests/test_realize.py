@@ -215,11 +215,22 @@ class TestRealize:
     @pytest.mark.parametrize(
         "options",
         [{"max_restarts": 0}, {"max_restarts": -3}, {"tol": -1e-9},
-         {"tol": float("nan")}],
+         {"tol": float("nan")}, {"seed": -1}, {"seed": 1.5},
+         {"max_restarts": 1.5}],
     )
     def test_bad_parameters_rejected(self, options):
         with pytest.raises(InvalidParameter):
-            realize_tff((2, 2, 2), 4, seed=0, **options)
+            realize_tff((2, 2, 2), 4, **{"seed": 0, **options})
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+         ({"seed": 0, "max_restarts": 1.5}, "max_restarts")],
+    )
+    def test_bad_parameter_named_before_precheck(self, options, name):
+        # (3, 3) in dimension 5 is not tight: the parameter check comes first
+        with pytest.raises(InvalidParameter, match=name):
+            realize_tff((3, 3), 5, **options)
 
     def test_deterministic_for_seed(self):
         a = realize_tff((2, 2, 2), 4, seed=11)

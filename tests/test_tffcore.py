@@ -23,7 +23,12 @@ from tffcomb import (
     unique_maximal,
     validate_config,
 )
-from tffcomb.errors import AlphaOutOfRange, InvalidAlpha, InvalidRanks
+from tffcomb.errors import (
+    AlphaOutOfRange,
+    InvalidAlpha,
+    InvalidParameter,
+    InvalidRanks,
+)
 from tffcomb.partitions import dominance_leq, partitions_of
 from tffcomb.tffcore import _admissible
 
@@ -172,6 +177,11 @@ class TestFillmore:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fillmore_feasible(-1, 0)
+
+    @pytest.mark.parametrize("trace, rank", [(-1, 0), (2, -1)])
+    def test_negative_is_typed_error(self, trace, rank):
+        with pytest.raises(InvalidParameter):
+            fillmore_feasible(trace, rank)
 
 
 class TestFirst3:

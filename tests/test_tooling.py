@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import json
@@ -7,8 +8,10 @@ import sys
 from pathlib import Path
 
 import tffcomb
+from tffcomb.cli import build_parser
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -52,3 +55,61 @@ def test_import_loads_only_numpy():
     loaded = json.loads(proc.stdout)
     assert loaded["scipy"] == []
     assert loaded["third_party"] == ["numpy"]
+
+
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(tffcomb.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def test_table_script_matches_cli_bytes():
+    # the script and ``maximal --all`` share one cell layout
+    def stdout(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], env=_env_with_src(), capture_output=True,
+            timeout=120, check=True,
+        ).stdout
+
+    script = stdout(str(ROOT / "scripts" / "make_maximal_tables.py"),
+                    "--max-dim", "4")
+    cli = stdout("-m", "tffcomb.cli", "maximal", "--all", "--max-dim", "4",
+                 "--json")
+    assert script == cli
+
+
+COMMON = ["-h", "--help", "--json"]
+OPTION_SURFACE = {
+    "decide": ["--dim", "--ranks"],
+    "count": ["--dim", "--ranks"],
+    "certificate": ["--dim", "--ranks", "--out"],
+    "tableau": ["--dim", "--ranks", "--in"],
+    "maximal": ["--alpha", "--dim", "--all", "--max-dim", "--out"],
+    "enumerate": ["--alpha", "--dim"],
+    "dual": ["--dim", "--ranks", "--alpha", "--spatial", "--naimark",
+             "--alpha-reduce", "--strip"],
+    "dual-config": ["--in", "--spatial", "--naimark", "--out"],
+    "check-bounds": ["--dim", "--ranks", "--alpha"],
+    "two-proj": ["--dim", "--p", "--q", "--spectrum"],
+    "realize": ["--dim", "--ranks", "--seed", "--tol", "--max-restarts",
+                "--out", "--csv"],
+    "verify": ["--in", "--alpha", "--tol"],
+}
+
+
+def test_option_surface_is_pinned():
+    # every subcommand's flags, in declaration order: a refactor of the
+    # parser must add, drop and rename none of them
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [opt for action in p._actions for opt in action.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert surface == {
+        name: COMMON + flags for name, flags in OPTION_SURFACE.items()
+    }
