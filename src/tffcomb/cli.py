@@ -55,8 +55,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _canonical_ranks(ranks: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    configmat.check_instance(ranks, dim)
-    ordered = tuple(sorted(ranks, reverse=True))
+    ordered, _ = configmat.canonical_instance(ranks, dim)
     if ordered != ranks:
         print(
             f"warning: ranks {list(ranks)} not weakly decreasing;"

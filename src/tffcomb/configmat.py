@@ -60,7 +60,12 @@ from .partitions import as_partition, contains, count_equal_parts, pad
 
 @dataclass(frozen=True)
 class ConfigMatrix:
-    """Immutable N x M integer matrix with a block structure over ``ranks``."""
+    """Immutable N x M integer matrix with a block structure over ``ranks``.
+
+    Raises InvalidCertificate if ``(ranks, dim)`` fails ``check_instance`` or
+    an entry is not integral, and DimensionMismatch unless the entries form
+    ``dim`` rows of ``sum(ranks)``.
+    """
 
     dim: int
     ranks: tuple[int, ...]
@@ -68,19 +73,15 @@ class ConfigMatrix:
 
     def __post_init__(self):
         try:
-            raw = (self.dim, tuple(self.ranks), tuple(map(tuple, self.entries)))
-            ints = (int(raw[0]), tuple(map(int, raw[1])),
-                    tuple(tuple(map(int, row)) for row in raw[2]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidCertificate(f"non-integral certificate data: {exc}") from exc
-        if ints != raw:
+            ranks, dim = check_instance(self.ranks, self.dim)
+            raw = tuple(map(tuple, self.entries))
+            entries = tuple(tuple(map(int, row)) for row in raw)
+        except (InvalidRanks, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidCertificate(f"bad certificate data: {exc}") from exc
+        if entries != raw:
             raise InvalidCertificate(f"non-integral certificate data: {raw!r}")
-        for name, value in zip(("dim", "ranks", "entries"), ints):
+        for name, value in zip(("dim", "ranks", "entries"), (dim, ranks, entries)):
             object.__setattr__(self, name, value)
-        if self.dim <= 0 or not self.ranks or any(r <= 0 for r in self.ranks):
-            raise DimensionMismatch(
-                f"need positive dim and ranks, got dim={self.dim} ranks={self.ranks}"
-            )
         m = sum(self.ranks)
         if len(self.entries) != self.dim or any(
             len(row) != m for row in self.entries
@@ -137,8 +138,8 @@ def validate_config(a: ConfigMatrix) -> ValidationReport:
     """Check properties (i)-(v); (v) is checked per column block.
 
     Reports the first violated property together with the offending (1-based)
-    indices.  Raises DimensionMismatch only for malformed inputs, which the
-    ConfigMatrix constructor already rejects.
+    indices.  Malformed data, a block wider than ``dim`` included, never
+    gets this far: the ConfigMatrix constructor rejects it.
     """
     n, m = a.dim, a.total
     rows = a.entries
@@ -224,6 +225,12 @@ def check_instance(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int
     if max(ranks) > dim:
         raise InvalidRanks(f"largest rank {max(ranks)} exceeds dimension {dim}")
     return ranks, dim
+
+
+def canonical_instance(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
+    """``check_instance`` with the ranks sorted largest first."""
+    ranks, dim = check_instance(ranks, dim)
+    return tuple(sorted(ranks, reverse=True)), dim
 
 
 def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
@@ -570,12 +577,15 @@ def lr_oracle(
 
 def okada_product(a: int, b: int, n1: int, n2: int) -> list[tuple[int, ...]]:
     """Shapes in the product of the two rectangle Schur functions
-    ``(n1^a) * (n2^b)`` (each appearing exactly once), for a >= b >= 1.
+    ``(n1^a) * (n2^b)`` (each appearing exactly once), for integers
+    a >= b >= 1 and n1, n2 >= 0.
 
     A shape qualifies iff it has length at most a+b, rows b+1..a equal n1,
     row b at least max(n1, n2), and complementary pairs
     row_i + row_{a+b+1-i} = n1 + n2 for i <= b.
     """
+    if not all(isinstance(x, int) for x in (a, b, n1, n2)):
+        raise InvalidShape(f"need integers, got {(a, b, n1, n2)!r}")
     if b < 1 or a < b:
         raise InvalidShape(f"need a >= b >= 1, got a={a} b={b}")
     if n1 < 0 or n2 < 0:

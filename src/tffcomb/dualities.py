@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .configmat import ConfigMatrix, check_alpha, check_instance, require_valid
+from .configmat import ConfigMatrix, canonical_instance, check_alpha, require_valid
 from .errors import (
     AlphaNotGreaterThanOne,
     DegenerateDual,
@@ -35,8 +35,7 @@ def spatial_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     """Complementary rank sequence (dim - L_K, ..., dim - L_1) in the same
     dimension; full-rank entries drop out.  Raises DegenerateDual when every
     rank equals the dimension."""
-    ranks, dim = check_instance(ranks, dim)
-    ranks = tuple(sorted(ranks, reverse=True))
+    ranks, dim = canonical_instance(ranks, dim)
     dual = tuple(dim - r for r in reversed(ranks) if r < dim)
     if not dual:
         raise DegenerateDual(
@@ -47,8 +46,7 @@ def spatial_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
 
 def naimark_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     """Same ranks in dimension M - dim (requires frame bound > 1)."""
-    ranks, dim = check_instance(ranks, dim)
-    ranks = tuple(sorted(ranks, reverse=True))
+    ranks, dim = canonical_instance(ranks, dim)
     total = sum(ranks)
     if total <= dim:
         raise AlphaNotGreaterThanOne(

@@ -3,7 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers with no
 trailing zeros; the empty tuple is the empty partition.  All operations are
 pure functions over these tuples, so values are hashable and safe to share.
-Malformed input raises InvalidShape, a ValueError.  One walk,
+Malformed input, a part that is not integral included, raises InvalidShape,
+a ValueError; integral values such as ``2.0`` are accepted as ints.  One walk,
 ``capped_partitions``, generates both ``partitions_of`` and the candidates
 that ``tffcore.maximal_elements`` scans under its prefix-sum caps.
 """
@@ -17,7 +18,13 @@ from .errors import DoesNotFit, InvalidShape, NotDominated
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize ``parts`` (dropping trailing zeros) or raise InvalidShape."""
-    p = tuple(int(x) for x in parts)
+    try:
+        raw = tuple(parts)
+        p = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidShape(f"partition parts must be integral: {exc}") from exc
+    if p != raw:
+        raise InvalidShape(f"partition parts must be integral, got {raw!r}")
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
@@ -97,6 +104,7 @@ def majorization_chain(
 
 def conjugate(p: Sequence[int]) -> tuple[int, ...]:
     """Transpose of the Young diagram."""
+    p = as_partition(p)
     if not p:
         return ()
     cols = [0] * p[0]

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .configmat import ConfigMatrix, check_instance, mu_chain
+from .configmat import ConfigMatrix, canonical_instance, check_instance, mu_chain
 from .errors import (
     ConvergenceFailure,
     InvalidMultiplicity,
@@ -256,8 +256,7 @@ def realize_tff(
     _check_count("seed", seed, 0)
     _check_count("max_restarts", max_restarts, 1)
     _check_tol(tol)
-    ranks, dim = check_instance(ranks, dim)
-    ranks = tuple(sorted(ranks, reverse=True))
+    ranks, dim = canonical_instance(ranks, dim)
     if not decide(ranks, dim):
         raise NotATFFSequence(
             f"{ranks} admits no tight fusion frame in dimension {dim}"

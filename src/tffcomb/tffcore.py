@@ -16,7 +16,7 @@ from math import floor
 from operator import le
 from typing import Iterator, Sequence
 
-from .configmat import ConfigMatrix, check_alpha, check_instance, find_config
+from .configmat import ConfigMatrix, canonical_instance, check_alpha, find_config
 from .dualities import (
     alpha_reduce,
     config_naimark_dual,
@@ -59,9 +59,7 @@ def decide(
     - M < N is not tight, and M = N is tight (an orthogonal decomposition);
     - the largest rank must fit in the Naimark complement, L_1 <= M - N;
     - the spatial dual is taken when it shrinks M (K*N - M < M);
-    - the Naimark dual is taken when it shrinks N (M < 2N);
-    - at the end (M >= 2N) the Naimark complement has bound M/(M-N) <= 2,
-      so ``k_block_bound`` must hold for the ranks in dimension M - N.
+    - the Naimark dual is taken when it shrinks N (M < 2N).
 
     Every move strictly lowers M + N, so the descent ends.  The certificate
     search then runs only on the terminal instance; with
@@ -69,8 +67,7 @@ def decide(
     moves (configuration-matrix dualities are exact involutions, and a
     peeled identity summand re-enters as a forced diagonal block).
     """
-    ranks, dim = check_instance(ranks, dim)
-    ranks = tuple(sorted(ranks, reverse=True))
+    ranks, dim = canonical_instance(ranks, dim)
 
     def outcome(tight: bool, cert: ConfigMatrix | None):
         return (tight, cert) if certificate else tight
@@ -96,8 +93,6 @@ def decide(
         elif co_dim < dim:
             trail.append((config_naimark_dual,))
             ranks, dim = co_ranks, co_dim
-        elif not k_block_bound(co_ranks, co_dim, Fraction(total, co_dim)):
-            return outcome(False, None)
         else:
             break
 
@@ -124,11 +119,6 @@ def fillmore_feasible(trace: Rational, rank: int) -> bool:
     return trace.denominator == 1 and trace >= rank
 
 
-def _require_alpha_open_interval(alpha: Fraction) -> None:
-    if not 1 < alpha < 2:
-        raise AlphaOutOfRange(f"bound {alpha} is not strictly between 1 and 2")
-
-
 def first3_check(
     l1: int, l2: int, l3: int, alpha: Rational, dim: int
 ) -> bool:
@@ -150,7 +140,8 @@ def first3_check(
 
 def _first3_caps(alpha: Fraction, dim: int) -> tuple[int, int, int]:
     """first3_check's bounds on l1, l1+l2 and l1+l2+l3, rounded down."""
-    _require_alpha_open_interval(alpha)
+    if not 1 < alpha < 2:
+        raise AlphaOutOfRange(f"bound {alpha} is not strictly between 1 and 2")
     if alpha < Fraction(3, 2):
         three = Fraction(dim)
     elif alpha > Fraction(3, 2):
@@ -170,7 +161,6 @@ def hook_type_decide(
     normalized sequence.
     """
     alpha = Fraction(alpha)
-    _require_alpha_open_interval(alpha)
     if ones < 0:
         raise InvalidRanks("number of trailing ones must be nonnegative")
     if not l1 >= l2 >= l3 >= 0:

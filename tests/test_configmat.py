@@ -169,6 +169,16 @@ class TestValidate:
         with pytest.raises(InvalidCertificate):
             ConfigMatrix(dim, ranks, entries)
 
+    @pytest.mark.parametrize(
+        "dim, ranks, entries",
+        [(2, (3,), ((3, 0, 0), (0, 3, 0))), (0, (1,), ())],
+        ids=["block-wider-than-dim", "zero-dim"],
+    )
+    def test_instance_rule_rejects_certificate(self, dim, ranks, entries):
+        # dim and ranks pass the same rule as every instance, check_instance
+        with pytest.raises(InvalidCertificate):
+            ConfigMatrix(dim, ranks, entries)
+
     def test_integral_values_normalized(self):
         rows = [list(map(float, row)) for row in CERT_4x7_RANKS_2221.entries]
         cert = ConfigMatrix(4.0, [2.0, 2, 2, 1], rows)

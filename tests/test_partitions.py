@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import partitions_in_box
+from tffcomb.configmat import lr_oracle, okada_product
 from tffcomb.errors import DoesNotFit, NotDominated, TFFCombError
 from tffcomb.partitions import (
     as_partition,
@@ -216,8 +217,13 @@ class TestGenerators:
     "call",
     [lambda: as_partition((1, 2)), lambda: as_partition((3, -1)),
      lambda: pad((2, 1), 1), lambda: majorization_chain((1, 2), (3,)),
-     lambda: dual_in_rectangle((2, 3), 3, 2)],
-    ids=["increasing", "negative", "pad-short", "chain", "rectangle"],
+     lambda: dual_in_rectangle((2, 3), 3, 2),
+     lambda: as_partition((2.7, 1.2)), lambda: dual_in_rectangle((1.5,), 3, 2),
+     lambda: lr_oracle((1.5,), (1,), (2,)), lambda: conjugate((1, 2)),
+     lambda: okada_product(1.5, 1, 1, 1)],
+    ids=["increasing", "negative", "pad-short", "chain", "rectangle",
+         "fractional", "fractional-rectangle", "fractional-lr", "conjugate",
+         "okada-fractional"],
 )
 def test_malformed_partition_is_typed_error(call):
     with pytest.raises(TFFCombError):

@@ -227,6 +227,11 @@ class TestHookType:
         with pytest.raises(InvalidRanks):
             hook_type_decide(2, 1, 1, 5, Fraction(5, 3), 3)
 
+    def test_alpha_out_of_range(self):
+        # first3_check owns the range rule; the sum 6 = 2 * 3 is consistent
+        with pytest.raises(AlphaOutOfRange):
+            hook_type_decide(2, 1, 1, 2, Fraction(2), 3)
+
 
 class TestKBlockBound:
     def test_vacuous_at_two(self):

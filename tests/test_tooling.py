@@ -81,6 +81,24 @@ def test_table_script_matches_cli_bytes():
     assert script == cli
 
 
+def test_realize_demo_runs():
+    # the only script with no other test: decide, certificate, dualities and
+    # a numerical realization, end to end
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "realize_demo.py"), *args],
+            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+        )
+
+    tight = run()
+    assert tight.returncode == 0, tight.stderr
+    assert "tight" in tight.stdout and "not tight" not in tight.stdout
+    assert "pass" in tight.stdout
+    rejected = run("--dim", "3", "--ranks", "2,2")
+    assert rejected.returncode == 1, rejected.stderr
+    assert "not tight" in rejected.stdout
+
+
 COMMON = ["-h", "--help", "--json"]
 OPTION_SURFACE = {
     "decide": ["--dim", "--ranks"],
