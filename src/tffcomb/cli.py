@@ -249,7 +249,8 @@ def _cmd_check_bounds(args) -> int:
     checks = {
         "first3": tffcore.first3_check(*padded[:3], alpha, args.dim)
         if 1 < alpha < 2 else None,
-        "k_block": tffcore.k_block_bound(ranks, args.dim, alpha),
+        "k_block": tffcore.k_block_bound(ranks, args.dim, alpha)
+        if alpha >= 1 else None,
     }
     payload = {
         "dim": args.dim,

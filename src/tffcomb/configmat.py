@@ -55,7 +55,7 @@ from .errors import (
     MalformedInput,
     SizeMismatch,
 )
-from .partitions import as_partition, contains, count_equal_parts, pad
+from .partitions import as_ints, as_partition, contains, count_equal_parts, pad
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,9 @@ class ConfigMatrix:
     def __post_init__(self):
         try:
             ranks, dim = check_instance(self.ranks, self.dim)
-            raw = tuple(map(tuple, self.entries))
-            entries = tuple(tuple(map(int, row)) for row in raw)
-        except (InvalidRanks, TypeError, ValueError, OverflowError) as exc:
+            entries = tuple(as_ints(row, InvalidCertificate) for row in self.entries)
+        except (InvalidRanks, TypeError) as exc:
             raise InvalidCertificate(f"bad certificate data: {exc}") from exc
-        if entries != raw:
-            raise InvalidCertificate(f"non-integral certificate data: {raw!r}")
         for name, value in zip(("dim", "ranks", "entries"), (dim, ranks, entries)):
             object.__setattr__(self, name, value)
         m = sum(self.ranks)
@@ -208,14 +205,8 @@ def check_instance(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int
     non-integral data, no ranks, a rank or dimension that is not positive,
     or a rank above the dimension; a bound below 1 is not an error.
     """
-    try:
-        raw = (tuple(ranks), dim)
-        ints = (tuple(map(int, raw[0])), int(dim))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidRanks(f"non-integral instance: {exc}") from exc
-    if ints != raw:
-        raise InvalidRanks(f"non-integral instance: ranks={raw[0]!r}, dim={dim!r}")
-    ranks, dim = ints
+    ranks = as_ints(ranks, InvalidRanks)
+    (dim,) = as_ints((dim,), InvalidRanks)
     if not ranks:
         raise InvalidRanks("rank sequence is empty")
     if any(r <= 0 for r in ranks):
@@ -238,17 +229,18 @@ def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
     InvalidAlpha unless ``dim`` is a positive integer (``4.0`` is accepted),
     ``alpha >= 1`` is rational and ``alpha * dim`` is an integer."""
     try:
-        alpha, whole = Fraction(alpha), int(dim)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidAlpha(f"bad frame bound or dimension: {exc}") from exc
-    if whole != dim or whole < 1:
-        raise InvalidAlpha(f"dimension must be a positive integer, got {dim!r}")
+        alpha = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidAlpha(f"bad frame bound {alpha!r}: {exc}") from exc
+    (dim,) = as_ints((dim,), InvalidAlpha)
+    if dim < 1:
+        raise InvalidAlpha(f"dimension must be a positive integer, got {dim}")
     if alpha < 1:
         raise InvalidAlpha(f"frame bound must be at least 1, got {alpha}")
-    total = alpha * whole
+    total = alpha * dim
     if total.denominator != 1:
         raise InvalidAlpha(f"alpha*dim = {total} is not an integer")
-    return alpha, whole, total.numerator
+    return alpha, dim, total.numerator
 
 
 def _fit_test(later: Sequence[int], n: int, m: int) -> tuple[int, int]:
@@ -578,14 +570,14 @@ def lr_oracle(
 def okada_product(a: int, b: int, n1: int, n2: int) -> list[tuple[int, ...]]:
     """Shapes in the product of the two rectangle Schur functions
     ``(n1^a) * (n2^b)`` (each appearing exactly once), for integers
-    a >= b >= 1 and n1, n2 >= 0.
+    a >= b >= 1 and n1, n2 >= 0; integral values such as ``2.0`` are
+    accepted.
 
     A shape qualifies iff it has length at most a+b, rows b+1..a equal n1,
     row b at least max(n1, n2), and complementary pairs
     row_i + row_{a+b+1-i} = n1 + n2 for i <= b.
     """
-    if not all(isinstance(x, int) for x in (a, b, n1, n2)):
-        raise InvalidShape(f"need integers, got {(a, b, n1, n2)!r}")
+    a, b, n1, n2 = as_ints((a, b, n1, n2), InvalidShape)
     if b < 1 or a < b:
         raise InvalidShape(f"need a >= b >= 1, got a={a} b={b}")
     if n1 < 0 or n2 < 0:

@@ -57,11 +57,11 @@ def naimark_dual(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
 
 def alpha_reduce(alpha: Rational, dim: int) -> tuple[Fraction, int]:
     """Conjugate parameters (alpha~, dim~) with 1/alpha + 1/alpha~ = 1 and
-    dim~ = dim*(alpha-1); both instances carry the same tight sequences.
-    Raises AlphaNotGreaterThanOne unless alpha > 1."""
-    if Fraction(alpha) <= 1:
-        raise AlphaNotGreaterThanOne(f"bound {alpha} is not > 1")
+    dim~ = dim*(alpha-1), with the same tight sequences.  Raises InvalidAlpha
+    as check_alpha does, and AlphaNotGreaterThanOne at alpha = 1."""
     alpha, dim, total = check_alpha(alpha, dim)
+    if alpha == 1:
+        raise AlphaNotGreaterThanOne(f"bound {alpha} is not > 1")
     return alpha / (alpha - 1), total - dim
 
 

@@ -3,8 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers with no
 trailing zeros; the empty tuple is the empty partition.  All operations are
 pure functions over these tuples, so values are hashable and safe to share.
-Malformed input, a part that is not integral included, raises InvalidShape,
-a ValueError; integral values such as ``2.0`` are accepted as ints.  One walk,
+Malformed input raises InvalidShape, a ValueError.  ``as_ints`` is the
+package's one integrality rule: a value is an integer when it equals its
+``int()``, so ``2.0`` reads as ``2`` and ``2.5`` or ``"2"`` raise.  One walk,
 ``capped_partitions``, generates both ``partitions_of`` and the candidates
 that ``tffcore.maximal_elements`` scans under its prefix-sum caps.
 """
@@ -13,18 +14,24 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DoesNotFit, InvalidShape, NotDominated
+from .errors import DoesNotFit, InvalidShape, NotDominated, TFFCombError
+
+
+def as_ints(values: Iterable, error: type[TFFCombError]) -> tuple[int, ...]:
+    """``values`` as ints, each equal to its ``int()``, or raise ``error``."""
+    try:
+        raw = tuple(values)
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"non-integral values: {exc}") from exc
+    if ints != raw:
+        raise error(f"non-integral values: {raw!r}")
+    return ints
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize ``parts`` (dropping trailing zeros) or raise InvalidShape."""
-    try:
-        raw = tuple(parts)
-        p = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidShape(f"partition parts must be integral: {exc}") from exc
-    if p != raw:
-        raise InvalidShape(f"partition parts must be integral, got {raw!r}")
+    p = as_ints(parts, InvalidShape)
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):

@@ -24,8 +24,8 @@ from .dualities import (
     naimark_dual,
     spatial_dual,
 )
-from .errors import AlphaOutOfRange, InvalidParameter, InvalidRanks
-from .partitions import as_partition, capped_partitions, dominance_leq, partitions_of
+from .errors import AlphaOutOfRange, InvalidAlpha, InvalidParameter, InvalidRanks
+from .partitions import as_ints, capped_partitions, dominance_leq, partitions_of
 
 Rational = Fraction | int
 
@@ -132,7 +132,9 @@ def first3_check(
     l1+l2+l3 <= alpha*dim is imposed there.  (With bound dim at 3/2 the
     check would wrongly reject (2,2,2) in dimension 4.)
     """
-    caps = _first3_caps(Fraction(alpha), dim)
+    alpha, dim, _ = check_alpha(alpha, dim)
+    caps = _first3_caps(alpha, dim)
+    l1, l2, l3 = as_ints((l1, l2, l3), InvalidRanks)
     if not l1 >= l2 >= l3 >= 0:
         raise InvalidRanks(f"need l1 >= l2 >= l3 >= 0, got {(l1, l2, l3)}")
     return all(map(le, accumulate((l1, l2, l3)), caps))
@@ -158,32 +160,27 @@ def hook_type_decide(
 
     For 1 < alpha < 2 the three-rank bounds are necessary and, for sequences
     whose remaining ranks are all 1, sufficient; this evaluates them on the
-    normalized sequence.
+    normalized sequence, in which trailing zeros of (l1, l2, l3) drop out.
     """
-    alpha = Fraction(alpha)
+    alpha, dim, total = check_alpha(alpha, dim)
+    *head, ones = as_ints((l1, l2, l3, ones), InvalidRanks)
     if ones < 0:
         raise InvalidRanks("number of trailing ones must be nonnegative")
-    if not l1 >= l2 >= l3 >= 0:
-        raise InvalidRanks(f"need l1 >= l2 >= l3 >= 0, got {(l1, l2, l3)}")
-    seq = [x for x in (l1, l2, l3) if x != 0] + [1] * ones
-    if alpha * dim != sum(seq):
-        raise InvalidRanks(
-            f"sequence sums to {sum(seq)} but alpha*dim = {alpha * dim}"
-        )
-    padded = seq + [0, 0, 0]
-    return first3_check(padded[0], padded[1], padded[2], alpha, dim)
+    while head and head[-1] == 0:
+        head.pop()
+    seq = head + [1] * ones
+    if sum(seq) != total:
+        raise InvalidRanks(f"sequence sums to {sum(seq)} but alpha*dim = {total}")
+    return first3_check(*(seq + [0, 0, 0])[:3], alpha, dim)
 
 
 def k_block_bound(ranks: Sequence[int], dim: int, alpha: Rational) -> bool:
     """Necessary filter: whenever alpha < k/(k-1), the k largest ranks must
     fit inside the dimension.  Returns False on the first violation."""
-    alpha = Fraction(alpha)
-    prefix = 0
-    for k, r in enumerate(ranks, start=1):
-        prefix += r
-        if _k_block_applies(alpha, k) and prefix > dim:
-            return False
-    return True
+    ranks, dim = canonical_instance(ranks, dim)
+    alpha, dim, _ = check_alpha(alpha, dim)
+    sums = enumerate(accumulate(ranks), start=1)
+    return not any(s > dim and _k_block_applies(alpha, k) for k, s in sums)
 
 
 def _k_block_applies(alpha: Fraction, k: int) -> bool:
@@ -212,28 +209,27 @@ def unique_maximal(alpha: Rational, dim: int) -> tuple[int, ...] | None:
     with n | dim; alpha = n + 1/2 with 2 | dim; alpha = 1 + 2/(2n-1) with
     (2n-1) | dim.  Returns None when (alpha, dim) is not covered.
     """
-    alpha = Fraction(alpha)
-    if alpha < 1 or dim < 1 or (alpha * dim).denominator != 1:
+    try:
+        alpha, dim, _ = check_alpha(alpha, dim)
+    except InvalidAlpha:
         return None
     if alpha.denominator == 1:
         n = alpha.numerator
-        return as_partition((dim,) * n)
+        return (dim,) * n
     excess = alpha - 1
     if excess.numerator == 1:
         n = excess.denominator
         if dim % n == 0:
-            return as_partition((dim // n,) * (n + 1))
+            return (dim // n,) * (n + 1)
     if alpha.denominator == 2 and dim % 2 == 0:
         n = int(alpha - Fraction(1, 2))
         if n >= 1:
-            return as_partition((dim,) * (n - 1) + (dim // 2,) * 3)
+            return (dim,) * (n - 1) + (dim // 2,) * 3
     if excess.numerator == 2 and excess.denominator % 2 == 1:
         n = (excess.denominator + 1) // 2
         d = excess.denominator
         if dim % d == 0:
-            return as_partition(
-                (2 * dim // d,) * (n - 1) + (dim // d,) * 3
-            )
+            return (2 * dim // d,) * (n - 1) + (dim // d,) * 3
     return None
 
 

@@ -265,6 +265,12 @@ class TestCheckBounds:
         code, out, _ = run(capsys, "check-bounds", "--dim", "3", "--ranks", "3,3")
         assert code == 0 and "n/a" in out
 
+    def test_filters_not_applicable_below_one(self, capsys):
+        # ranks summing below the dimension give no frame bound to check
+        code, out, _ = run(capsys, "check-bounds", "--dim", "5", "--ranks", "2,1")
+        assert code == 0
+        assert "first3: n/a" in out and "k_block: n/a" in out
+
     @pytest.mark.parametrize("alpha", ["7/4", "1/2"])
     def test_malformed_alpha_is_usage_error(self, capsys, alpha):
         # 7/4 * 6 is not an integer, and a bound below 1 is not a frame bound

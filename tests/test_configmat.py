@@ -472,6 +472,10 @@ class TestOkadaProduct:
         with pytest.raises(InvalidShape):
             okada_product(1, 2, 3, 3)
 
+    def test_integral_values_accepted(self):
+        # the integrality rule of every other entry point
+        assert okada_product(2.0, 1.0, 3, 3.0) == okada_product(2, 1, 3, 3)
+
     def test_shape_conditions(self):
         for lam in okada_product(2, 1, 3, 3):
             padded = lam + (0,) * (3 - len(lam))

@@ -1,8 +1,10 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tffcomb
 from refdata import EXPECTED_MAXIMAL
 from tffcomb import (
     alpha_reduce,
@@ -43,6 +45,29 @@ INSTANCE_ENTRY_POINTS = {
     "naimark_dual": naimark_dual,
     "recur_strip": recur_strip,
     "realize_tff": lambda ranks, dim: realize_tff(ranks, dim, seed=0),
+    # alpha = sum/dim of (2, 2, 2) in dim 4, the one valid instance the
+    # sweeps pass; a malformed instance is rejected before alpha is read
+    "k_block_bound": lambda ranks, dim: k_block_bound(ranks, dim, Fraction(3, 2)),
+}
+
+# every public entry point that takes a frame bound, called as (alpha, dim)
+ALPHA_ENTRY_POINTS = {
+    "maximal_elements": maximal_elements,
+    "enumerate_tff": enumerate_tff,
+    "alpha_reduce": alpha_reduce,
+    "first3_check": lambda alpha, dim: first3_check(1, 1, 1, alpha, dim),
+    "hook_type_decide": lambda alpha, dim: hook_type_decide(
+        1, 1, 1, 3, alpha, dim
+    ),
+    # its instance passes check_instance first, so a malformed dim raises
+    # InvalidRanks there; only the bad-alpha sweep calls it
+    "k_block_bound": lambda alpha, dim: k_block_bound((1, 1, 1, 1), dim, alpha),
+}
+
+# public functions that take alpha, or ranks and dim, outside the sweeps
+SWEEP_EXEMPT = {
+    "unique_maximal": "returns None outside its four families",
+    "verify_tff": "takes alpha as a float target for the spectrum",
 }
 
 MALFORMED_INSTANCES = {
@@ -83,21 +108,41 @@ class TestInstanceBoundary:
         assert count_configs((2, 1), 5) == 0
 
     @pytest.mark.parametrize(
-        "fn", [maximal_elements, enumerate_tff, alpha_reduce],
-        ids=["maximal_elements", "enumerate_tff", "alpha_reduce"],
+        "name", [name for name in ALPHA_ENTRY_POINTS if name != "k_block_bound"]
     )
     @pytest.mark.parametrize(
         "dim", [0, -4, 4.5, "4", 3],
         ids=["zero-dim", "negative-dim", "fractional-dim", "string-dim",
              "fractional-total"],
     )
-    def test_malformed_alpha_rejected(self, fn, dim):
+    def test_malformed_alpha_rejected(self, name, dim):
         with pytest.raises(InvalidAlpha):
-            fn(Fraction(3, 2), dim)
+            ALPHA_ENTRY_POINTS[name](Fraction(3, 2), dim)
+
+    @pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "alpha", ["1/0", "x", None], ids=["zero-denominator", "text", "none"]
+    )
+    def test_bad_alpha_rejected(self, name, alpha):
+        with pytest.raises(InvalidAlpha):
+            ALPHA_ENTRY_POINTS[name](alpha, 4)
 
     def test_integral_alpha_instance_accepted(self):
-        for fn in (maximal_elements, enumerate_tff, alpha_reduce):
+        for fn in (maximal_elements, enumerate_tff, alpha_reduce, unique_maximal):
             assert fn(1.5, 4.0) == fn(Fraction(3, 2), 4)
+
+    def test_every_public_entry_point_is_swept(self):
+        # a new public function taking (ranks, dim) or alpha joins a sweep
+        # or is exempted here with a reason
+        for name in tffcomb.__all__:
+            obj = getattr(tffcomb, name)
+            if not inspect.isfunction(obj) or name in SWEEP_EXEMPT:
+                continue
+            params = inspect.signature(obj).parameters
+            if {"ranks", "dim"} <= params.keys():
+                assert name in INSTANCE_ENTRY_POINTS, name
+            if "alpha" in params:
+                assert name in ALPHA_ENTRY_POINTS, name
 
 
 class TestDecide:
@@ -211,6 +256,11 @@ class TestFirst3:
         with pytest.raises(InvalidRanks):
             first3_check(1, 2, 1, Fraction(3, 2), 4)
 
+    @pytest.mark.parametrize("ranks", [(2.5, 1, 1), ("2", 1, 1), (None, 1, 1)])
+    def test_non_integral_ranks_raise(self, ranks):
+        with pytest.raises(InvalidRanks):
+            first3_check(*ranks, Fraction(3, 2), 4)
+
 
 class TestHookType:
     def test_small_examples(self):
@@ -232,6 +282,23 @@ class TestHookType:
         with pytest.raises(AlphaOutOfRange):
             hook_type_decide(2, 1, 1, 2, Fraction(2), 3)
 
+    @pytest.mark.parametrize(
+        "l1, l2, l3, ones",
+        [(2, 0, 1, 4), (0, 2, 1, 4), (1, 2, 1, 3), (2, 1, 1, -1), (2, 1, 1, 2.5)],
+        ids=["zero-inside", "zero-first", "increasing", "negative-ones",
+             "fractional-ones"],
+    )
+    def test_malformed_hook_raises(self, l1, l2, l3, ones):
+        # first3_check owns the ordering rule; sums match 7 = 7/4 * 4 where
+        # the ones are integral
+        with pytest.raises(InvalidRanks):
+            hook_type_decide(l1, l2, l3, ones, Fraction(7, 4), 4)
+
+    def test_trailing_zeros_drop_out(self):
+        assert hook_type_decide(4, 2, 0, 5, Fraction(11, 6), 6) == decide(
+            (4, 2, 1, 1, 1, 1, 1), 6
+        )
+
 
 class TestKBlockBound:
     def test_vacuous_at_two(self):
@@ -242,6 +309,12 @@ class TestKBlockBound:
 
     def test_accepts_all_ones(self):
         assert k_block_bound((1,) * 6, 5, Fraction(6, 5))
+
+    @pytest.mark.parametrize("ranks", [(3, 3, 1), (1, 3, 3), (3, 1, 3)])
+    def test_order_of_ranks_does_not_matter(self, ranks):
+        # the two largest ranks, 3 + 3, exceed dim 4 below bound 2
+        assert not k_block_bound(ranks, 4, Fraction(7, 4))
+        assert not decide(ranks, 4)
 
 
 class TestUniqueMaximal:
