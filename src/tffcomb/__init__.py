@@ -14,7 +14,6 @@ from .configmat import (
     find_config,
     hook_completion_feasible,
     iter_configs,
-    lr_oracle,
     mu_chain,
     okada_product,
     render_tableaux,
@@ -87,7 +86,6 @@ __all__ = [
     "hook_type_decide",
     "iter_configs",
     "k_block_bound",
-    "lr_oracle",
     "majorization_chain",
     "maximal_elements",
     "mu_chain",

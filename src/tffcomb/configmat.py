@@ -55,7 +55,7 @@ from .errors import (
     MalformedInput,
     SizeMismatch,
 )
-from .partitions import as_ints, as_partition, contains, count_equal_parts, pad
+from .partitions import as_ints, as_partition, as_rational, count_equal_parts
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,7 @@ def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
     """``(alpha, dim, alpha*dim)`` as a Fraction and two ints.  Raises
     InvalidAlpha unless ``dim`` is a positive integer (``4.0`` is accepted),
     ``alpha >= 1`` is rational and ``alpha * dim`` is an integer."""
-    try:
-        alpha = Fraction(alpha)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InvalidAlpha(f"bad frame bound {alpha!r}: {exc}") from exc
+    alpha = as_rational(alpha, InvalidAlpha)
     (dim,) = as_ints((dim,), InvalidAlpha)
     if dim < 1:
         raise InvalidAlpha(f"dimension must be a positive integer, got {dim}")
@@ -505,68 +502,6 @@ def _tableau_text(rows: list[list[tuple[int, int]]]) -> str:
     return "\n".join(" ".join(f"{k}:{v}" for (k, v) in row) for row in rows)
 
 
-def lr_oracle(
-    lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]
-) -> int:
-    """Littlewood-Richardson coefficient by direct tableau enumeration.
-
-    Counts fillings of the skew shape nu/lam with content mu that are weakly
-    increasing along rows, strictly increasing down columns, and whose
-    right-to-left, top-to-bottom reading word is a lattice word.  Independent
-    of the configuration-matrix search; intended for small shapes.
-    """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    nu = as_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if not contains(lam, nu):
-        return 0
-    if not mu:
-        return 1
-    height = len(nu)
-    lamp = pad(lam, height)
-    cells = []
-    for r in range(height):
-        for c in range(nu[r] - 1, lamp[r] - 1, -1):
-            cells.append((r, c))
-    nvals = len(mu)
-    remaining = list(mu)
-    grid = [[0] * nu[r] for r in range(height)]
-    counts = [0] * (nvals + 2)
-    total = 0
-
-    def rec(idx: int):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < nu[r] else None
-        above = 0
-        if r > 0 and c < nu[r - 1] and c >= lamp[r - 1]:
-            above = grid[r - 1][c]
-        for v in range(1, nvals + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if right is not None and v > right:
-                continue
-            if v <= above:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            grid[r][c] = v
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-            grid[r][c] = 0
-
-    rec(0)
-    return total
-
-
 def okada_product(a: int, b: int, n1: int, n2: int) -> list[tuple[int, ...]]:
     """Shapes in the product of the two rectangle Schur functions
     ``(n1^a) * (n2^b)`` (each appearing exactly once), for integers
@@ -610,6 +545,7 @@ def hook_completion_feasible(
     least ``dim`` minus the number of already-complete rows of ``lam``.
     """
     lam = as_partition(lam)
+    k, width, dim = as_ints((k, width, dim), InvalidShape)
     if len(lam) > dim or (lam and lam[0] > width):
         raise DoesNotFit(f"{lam} does not fit in {dim} rows of width {width}")
     if sum(lam) != dim * (width - k):

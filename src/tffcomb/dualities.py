@@ -7,10 +7,11 @@ alpha/(alpha-1).  Both lift to explicit bijections on configuration
 matrices, implemented here, so certificate counts are preserved exactly.
 
 The certificate maps read the columns of the matrix directly: the spatial
-dual complements the binary summands of each block, and the Naimark dual
-complements each column's diagram positions, found from running row
-offsets.  Each map validates its input on every call, through
-``configmat.require_valid``, and does not re-check its output: the maps
+dual complements the binary summands of each block, counted from the
+block's column prefix sums, and the Naimark dual complements each column's
+diagram positions, found from running row offsets.  Each map validates its
+input on every call, through ``configmat.require_valid``, and does not
+re-check its output: the maps
 are bijections between valid certificates, which the tests check
 exhaustively against independent reference maps.
 """
@@ -18,6 +19,7 @@ exhaustively against independent reference maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .configmat import ConfigMatrix, canonical_instance, check_alpha, require_valid
@@ -77,17 +79,6 @@ def recur_strip(ranks: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
     return ranks[1:], co_dim
 
 
-def _summands(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Binary summands of a block given by its columns.
-
-    Column ``y`` is read as a multiset of rows (entry ``x`` copies of row
-    ``x``); summand ``j`` takes the j-th smallest row of every column.
-    """
-    return list(zip(*(
-        [x for x, c in enumerate(col) for _ in range(c)] for col in columns
-    )))
-
-
 def decompose_block(block_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Unique decomposition of a certificate block into binary summands.
 
@@ -100,7 +91,9 @@ def decompose_block(block_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     columns = list(zip(*block_rows))
     if len({sum(col) for col in columns}) > 1:
         raise InvalidCertificate("column sums differ inside a block")
-    summands = _summands(columns)
+    summands = list(zip(*(
+        [x for x, c in enumerate(col) for _ in range(c)] for col in columns
+    )))
     if any(x >= y for rows in summands for x, y in zip(rows, rows[1:])):
         raise InvalidCertificate(
             "binary summand is not strictly increasing; block violates"
@@ -117,6 +110,11 @@ def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
     rows (in increasing order), and the rebuilt blocks are emitted in
     reverse order, giving a certificate for (dim-L_K, ..., dim-L_1).  The
     map works on the columns of ``a``; the input is validated.
+
+    Dual blocks come from prefix sums: C_b(x) counts the units of source
+    column b in rows <= x (C_{-1} = N, C_w = 0 for width w).  Row x is the
+    t-th unused row of a summand s_0 < ... < s_{w-1} iff s_{b-1} < x < s_b
+    for b = x - t, so dual column t holds C_{b-1}(x-1) - C_b(x) of row x.
     """
     require_valid(a)
     n = a.dim
@@ -126,15 +124,22 @@ def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
             " certificate is degenerate"
         )
     columns = list(zip(*a.entries))
+    # prefix[b + 1][x] = C_b(x - 1)
+    top, bottom = [n] * (n + 1), [0] * (n + 1)
     dual_columns: list[list[int]] = []
     hi = len(columns)
     for width in reversed(a.ranks):
-        block = [[0] * n for _ in range(n - width)]
-        for summand in _summands(columns[hi - width:hi]):
-            free = [x for x in range(n) if x not in summand]
-            for col, x in zip(block, free):
-                col[x] += 1
-        dual_columns.extend(block)
+        prefix = [
+            top,
+            *(list(accumulate(col, initial=0)) for col in columns[hi - width:hi]),
+            bottom,
+        ]
+        for t in range(n - width):
+            dual_columns.append([
+                prefix[x - t][x] - prefix[x - t + 1][x + 1]
+                if t <= x <= t + width else 0
+                for x in range(n)
+            ])
         hi -= width
     return ConfigMatrix(
         dim=n,

@@ -12,6 +12,7 @@ that ``tffcore.maximal_elements`` scans under its prefix-sum caps.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DoesNotFit, InvalidShape, NotDominated, TFFCombError
@@ -27,6 +28,15 @@ def as_ints(values: Iterable, error: type[TFFCombError]) -> tuple[int, ...]:
     if ints != raw:
         raise error(f"non-integral values: {raw!r}")
     return ints
+
+
+def as_rational(value, error: type[TFFCombError]) -> Fraction:
+    """``value`` as a Fraction (``"3/2"``, ``1.5`` and ``Fraction(3, 2)``
+    alike), or raise ``error``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise error(f"not a rational: {value!r} ({exc})") from exc
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
@@ -156,7 +166,10 @@ def partitions_of(
     n: int, max_part: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All partitions of ``n`` with parts at most ``max_part``, in descending
-    lexicographic order (so any partition precedes everything it dominates)."""
-    if n >= 0:
-        first = n if max_part is None else max_part
-        yield from capped_partitions(n, first, [n] * n)
+    lexicographic order (so any partition precedes everything it dominates).
+    Raises InvalidShape, when called, unless ``n >= 0`` and ``max_part`` are
+    integers."""
+    n, first = as_ints((n, n if max_part is None else max_part), InvalidShape)
+    if n < 0:
+        raise InvalidShape(f"cannot partition the negative number {n}")
+    return capped_partitions(n, first, [n] * n)

@@ -4,7 +4,8 @@ The combinatorial layer is exact; this module is the only place floating
 point enters.  It constructs explicit orthonormal block bases U_k whose
 projections P_k = U_k U_k^T sum to alpha * I, builds two-projection sums
 with a prescribed spectrum, and verifies candidate realizations
-independently of how they were produced.
+independently of how they were produced.  Frames are built through
+``decide``'s descent, with the seeded optimizer only where it is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotATFFSequence,
 )
 from .partitions import pad
-from .tffcore import decide
+from .tffcore import decide, descend
 
 Rational = Fraction | int
 
@@ -219,12 +220,6 @@ def spectrum_chain(a: ConfigMatrix) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _orthonormal(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    mat = rng.standard_normal((dim, rank))
-    qmat, _ = np.linalg.qr(mat)
-    return qmat[:, :rank]
-
-
 def _check_tol(tol: float) -> None:
     if not tol >= 0:
         raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
@@ -244,14 +239,16 @@ def realize_tff(
 ) -> ProjectionSet:
     """Explicit orthonormal block bases with projections summing to alpha*I.
 
-    Alternates between the affine constraint (subtract the shared residual
-    from every block) and the product of fixed-rank projection manifolds
-    (spectral truncation), restarting from fresh random orthonormal bases up
-    to ``max_restarts`` times.  Every block truncates against the same
-    residual (a Jacobi step), so one stacked eigendecomposition per iteration
-    serves all blocks.  Deterministic for a fixed seed.  Raises
-    InvalidParameter unless ``seed >= 0`` and ``max_restarts >= 1`` are
-    integers and ``tol >= 0``; a zero tolerance demands an exact realization.
+    Builds a frame for the terminal instance of ``tffcore.descend`` and
+    lifts it back exactly: identity blocks for a peel, block complements for
+    a spatial dual, an orthogonal completion of the synthesis matrix for a
+    Naimark dual.  A terminal whose ranks fill M/N orthogonal decompositions
+    of coordinate blocks (no ranks left and M = N included) needs no
+    optimizer and no seed.  Other terminals run the optimizer, ``_alternate``,
+    from ``seed``, which also polishes a lifted frame that misses ``tol``.
+    Deterministic for a fixed seed.  Raises InvalidParameter unless
+    ``seed >= 0`` and ``max_restarts >= 1`` are integers and ``tol >= 0``;
+    a zero tolerance demands an exact realization.
     """
     _check_count("seed", seed, 0)
     _check_count("max_restarts", max_restarts, 1)
@@ -261,18 +258,99 @@ def realize_tff(
         raise NotATFFSequence(
             f"{ranks} admits no tight fusion frame in dimension {dim}"
         )
+    path = descend(ranks, dim)
+    frame = _coordinate_frame(path.ranks, path.dim) or _alternate(
+        path.ranks, path.dim, seed, tol, max_restarts
+    )
+    frame = path.lift(frame, _peel_lift, _spatial_lift, _naimark_lift)
+    sum_res, orth = _residuals(frame, float(frame.alpha))
+    if not all(x <= tol for x in (sum_res, *orth)):
+        frame = _alternate(ranks, dim, seed, tol, max_restarts, list(frame.blocks))
+    return frame
+
+
+def _coordinate_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
+    """Coordinate blocks if the ranks split into M/N groups that each fill
+    the N coordinates, else None.  A state of the split search is the rank
+    index with the sorted group fills; a state that failed is not retried."""
+    groups, rest = divmod(sum(ranks), dim)
+    fills, starts, failed = [0] * groups, [0] * len(ranks), set()
+
+    def place(i: int) -> bool:
+        key = (i, tuple(sorted(fills)))
+        if i == len(ranks) or key in failed:
+            return i == len(ranks)
+        for fill in sorted(set(fills)):
+            if fill + ranks[i] <= dim:
+                g = fills.index(fill)
+                fills[g] += ranks[i]
+                if place(i + 1):
+                    starts[i] = fill
+                    return True
+                fills[g] = fill
+        failed.add(key)
+        return False
+
+    if rest or not place(0):
+        return None
+    eye = np.eye(dim)
+    return ProjectionSet(dim, tuple(eye[:, s:s + r] for s, r in zip(starts, ranks)))
+
+
+def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:
+    return ProjectionSet(dim=dim, blocks=(np.eye(dim),) * count + frame.blocks)
+
+
+def _spatial_lift(frame: ProjectionSet) -> ProjectionSet:
+    """Block complements in reversed order; they sum to (K - alpha') I."""
+    blocks = [np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:] for b in frame.blocks]
+    return ProjectionSet(dim=frame.dim, blocks=tuple(reversed(blocks)))
+
+
+def _naimark_lift(frame: ProjectionSet) -> ProjectionSet:
+    """Complete the orthonormal rows of [U_1 ... U_K]/sqrt(alpha) to an
+    orthogonal M x M matrix; each column block of the complement rows has
+    Gram matrix (1 - 1/alpha) I, and scaled it is an orthonormal basis."""
+    alpha = float(frame.alpha)
+    synthesis = np.hstack(frame.blocks) / np.sqrt(alpha)
+    rest = np.linalg.qr(synthesis.T, mode="complete")[0][:, frame.dim:].T
+    rest /= np.sqrt(1 - 1 / alpha)
+    cuts = np.cumsum(frame.ranks)[:-1]
+    return ProjectionSet(dim=rest.shape[0], blocks=tuple(np.split(rest, cuts, axis=1)))
+
+
+def _residuals(s: ProjectionSet, alpha: float) -> tuple[float, tuple[float, ...]]:
+    """The Frobenius norms of sum(P_k) - alpha*I and of each U_k^T U_k - I."""
+    total = sum(b @ b.T for b in s.blocks)
+    orth = tuple(float(np.linalg.norm(b.T @ b - np.eye(b.shape[1]))) for b in s.blocks)
+    return float(np.linalg.norm(total - alpha * np.eye(s.dim))), orth
+
+
+def _alternate(
+    ranks: tuple[int, ...], dim: int, seed: int, tol: float, max_restarts: int,
+    start: list[np.ndarray] | None = None,
+) -> ProjectionSet:
+    """The optimizer, for weakly decreasing ``ranks``.
+
+    Alternates between the affine constraint (subtract the shared residual
+    from every block) and the product of fixed-rank projection manifolds
+    (spectral truncation), restarting from random orthonormal bases drawn
+    from ``seed`` up to ``max_restarts`` times; the first run starts from
+    ``start`` when given.  Every block truncates against the same residual
+    (a Jacobi step), so one stacked eigendecomposition per iteration serves
+    all blocks.  Raises ConvergenceFailure when no run reaches ``tol``.
+    """
     alpha = sum(ranks) / dim
     kblocks = len(ranks)
     eye = np.eye(dim)
-    if all(r == dim for r in ranks):
-        return ProjectionSet(dim=dim, blocks=(eye,) * kblocks)
     # eigh sorts eigenvalues ascending, so block k keeps its last ranks[k]
     # eigenvectors
     keep = np.arange(dim) >= dim - np.array(ranks)[:, None]
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(max_restarts):
-        bases = [_orthonormal(rng, dim, r) for r in ranks]
+        bases = start or [np.linalg.qr(rng.standard_normal((dim, r)))[0] for r in ranks]
+        start = None
         projs = np.stack([b @ b.T for b in bases])
         history: list[float] = []
         for _ in range(_MAX_ITER):
@@ -307,31 +385,17 @@ def verify_tff(
     InvalidParameter for a negative or NaN ``tol``, as realize_tff does.
     """
     _check_tol(tol)
-    if alpha is None:
-        alpha = s.alpha
-    alpha = float(alpha)
-    eye = np.eye(s.dim)
-    total = np.zeros((s.dim, s.dim))
-    orth = []
-    idem = []
-    nranks = []
-    for b in s.blocks:
-        proj = b @ b.T
-        total += proj
-        orth.append(float(np.linalg.norm(b.T @ b - np.eye(b.shape[1]))))
-        idem.append(float(np.linalg.norm(proj @ proj - proj)))
-        nranks.append(int(np.sum(np.linalg.svd(b, compute_uv=False) > 0.5)))
-    sum_res = float(np.linalg.norm(total - alpha * eye))
-    passed = (
-        sum_res <= tol
-        and all(x <= tol for x in orth)
-        and all(x <= tol for x in idem)
-        and tuple(nranks) == s.ranks
+    sum_res, orth = _residuals(s, float(s.alpha if alpha is None else alpha))
+    projs = [b @ b.T for b in s.blocks]
+    idem = tuple(float(np.linalg.norm(p @ p - p)) for p in projs)
+    nranks = tuple(
+        int(np.sum(np.linalg.svd(b, compute_uv=False) > 0.5)) for b in s.blocks
     )
+    passed = all(x <= tol for x in (sum_res, *orth, *idem)) and nranks == s.ranks
     return VerificationReport(
         sum_residual=sum_res,
-        block_orthonormality=tuple(orth),
-        block_idempotence=tuple(idem),
-        block_ranks=tuple(nranks),
+        block_orthonormality=orth,
+        block_idempotence=idem,
+        block_ranks=nranks,
         passed=passed,
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import floor
 from operator import le
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .configmat import ConfigMatrix, canonical_instance, check_alpha, find_config
 from .dualities import (
@@ -25,9 +25,62 @@ from .dualities import (
     spatial_dual,
 )
 from .errors import AlphaOutOfRange, InvalidAlpha, InvalidParameter, InvalidRanks
-from .partitions import as_ints, capped_partitions, dominance_leq, partitions_of
+from .partitions import as_ints, as_rational, capped_partitions
+from .partitions import dominance_leq, partitions_of
 
 Rational = Fraction | int
+
+
+class Descent(NamedTuple):
+    """``decide``'s descent: ``moves`` lists ``(kind, count)`` in order, a
+    "peel" of ``count`` full ranks or a "spatial" or "naimark" dual (count
+    0); ``ranks`` and ``dim`` are the terminal instance; ``end`` is "empty"
+    (no ranks left) or "square" (M = N), both tight, "short" (M < N) or
+    "wide" (L_1 > M - N), neither tight, or "search" (the search decides)."""
+
+    moves: tuple[tuple[str, int], ...]
+    ranks: tuple[int, ...]
+    dim: int
+    end: str
+
+    def lift(self, base, peel, spatial, naimark):
+        """``base``, solving the terminal instance, carried back through the
+        moves: ``peel(x, count, dim)`` adds full blocks in front, and
+        ``spatial(x)``, ``naimark(x)`` undo a dual (each an involution)."""
+        dim = self.dim
+        for kind, count in reversed(self.moves):
+            if kind == "peel":
+                base = peel(base, count, dim)
+            else:
+                base = (spatial if kind == "spatial" else naimark)(base)
+                dim = base.dim
+        return base
+
+
+def descend(ranks: Sequence[int], dim: int) -> Descent:
+    """The descent of ``decide``, as a record; see ``decide`` for the moves."""
+    ranks, dim = canonical_instance(ranks, dim)
+    moves: list[tuple[str, int]] = []
+    while ranks:
+        full = ranks.count(dim)
+        total = sum(ranks)
+        if full:
+            moves.append(("peel", full))
+            ranks = ranks[full:]
+        elif total <= dim or ranks[0] > total - dim:
+            break
+        elif len(ranks) * dim - total < total:
+            moves.append(("spatial", 0))
+            ranks, dim = spatial_dual(ranks, dim)
+        elif total < 2 * dim:
+            moves.append(("naimark", 0))
+            ranks, dim = naimark_dual(ranks, dim)
+        else:
+            break
+    m = sum(ranks)
+    end = ("empty" if not ranks else "short" if m < dim else "square" if m == dim
+           else "wide" if ranks[0] > m - dim else "search")
+    return Descent(tuple(moves), ranks, dim, end)
 
 
 def _add_identity_blocks(
@@ -61,59 +114,32 @@ def decide(
     - the spatial dual is taken when it shrinks M (K*N - M < M);
     - the Naimark dual is taken when it shrinks N (M < 2N).
 
-    Every move strictly lowers M + N, so the descent ends.  The certificate
-    search then runs only on the terminal instance; with
-    ``certificate=True`` the witness is lifted back through the recorded
-    moves (configuration-matrix dualities are exact involutions, and a
-    peeled identity summand re-enters as a forced diagonal block).
+    Every move strictly lowers M + N, so the descent ends; ``descend``
+    records it.  The certificate search then runs only on the terminal
+    instance; with ``certificate=True`` the witness is lifted back through
+    the recorded moves (configuration-matrix dualities are exact
+    involutions, and a peeled identity summand re-enters as a forced
+    diagonal block).
     """
-    ranks, dim = canonical_instance(ranks, dim)
-
-    def outcome(tight: bool, cert: ConfigMatrix | None):
-        return (tight, cert) if certificate else tight
-
-    trail: list[tuple] = []
-    while ranks:
-        full = ranks.count(dim)
-        total = sum(ranks)
-        if full:
-            trail.append((_add_identity_blocks, full, dim))
-            ranks = ranks[full:]
-            continue
-        if total <= dim:
-            if total < dim:
-                return outcome(False, None)
-            break
-        co_ranks, co_dim = naimark_dual(ranks, dim)
-        if ranks[0] > co_dim:
-            return outcome(False, None)
-        if len(ranks) * dim - total < total:
-            trail.append((config_spatial_dual,))
-            ranks, dim = spatial_dual(ranks, dim)
-        elif co_dim < dim:
-            trail.append((config_naimark_dual,))
-            ranks, dim = co_ranks, co_dim
-        else:
-            break
-
-    cert = None
+    path = descend(ranks, dim)
+    tight, cert = path.end in ("empty", "square", "search"), None
     # M = N is tight without a search; only its certificate needs one
-    if ranks and (certificate or total > dim):
-        cert = find_config(ranks, dim)
-        if cert is None:
-            return outcome(False, None)
+    if path.end == "search" or (certificate and path.end == "square"):
+        cert = find_config(path.ranks, path.dim)
+        tight = cert is not None
     if not certificate:
-        return outcome(True, None)
-    for lift, *args in reversed(trail):
-        cert = lift(cert, *args)
-    return outcome(True, cert)
+        return tight
+    lifts = _add_identity_blocks, config_spatial_dual, config_naimark_dual
+    return tight, path.lift(cert, *lifts) if tight else None
 
 
 def fillmore_feasible(trace: Rational, rank: int) -> bool:
     """Whether a positive semidefinite matrix with the given trace and rank
     can be written as a sum of orthogonal projections: the trace must be a
-    nonnegative integer at least the rank."""
-    trace = Fraction(trace)
+    nonnegative integer at least the rank.  Raises InvalidParameter for a
+    trace that is not a rational or a rank that is not an integer."""
+    trace = as_rational(trace, InvalidParameter)
+    (rank,) = as_ints((rank,), InvalidParameter)
     if trace < 0 or rank < 0:
         raise InvalidParameter("trace and rank must be nonnegative")
     return trace.denominator == 1 and trace >= rank

@@ -3,25 +3,39 @@
 These deliberately avoid the package's search machinery: the counter below
 enumerates raw integer matrices column by column (pruning only on column
 sums and row budgets) and filters by re-checking the defining properties on
-the complete matrix, the chain counter multiplies skew-tableau counts
-from the standalone enumeration oracle, and the reference dualities copy
-every block out of the matrix and rebuild the mu-chain, as the package's
-first implementation of the certificate dualities did.  The reference
-walk is the certificate search as it was before the Littlewood-Richardson
-support pruning: the same column order, pruned only by prefix feasibility
-and the last block's forced start.  ``partitions_in_box`` lists the shapes
-of a box, which the tests sweep over.  The reference realizer is the
-alternating-projection loop as it was before the blocks shared one stacked
-eigendecomposition: one ``eigh`` call and one projection per block.
+the complete matrix, the chain counter multiplies skew-tableau counts from
+``lr_oracle``, a direct tableau enumeration, and the reference dualities
+copy every block out of the matrix and rebuild the mu-chain, as the
+package's first implementation of the certificate dualities did.  The
+reference walk is the certificate search as it was before the
+Littlewood-Richardson support pruning: the same column order, pruned only
+by prefix feasibility and the last block's forced start.
+``partitions_in_box`` lists the shapes of a box, which the tests sweep
+over.  The reference realizer is the alternating-projection loop as it was
+before the blocks shared one stacked eigendecomposition: one ``eigh`` call
+and one projection per block.  The reference descent is ``decide`` as it
+was before the descent became a record: the moves kept as a list of
+``(lift, *args)`` steps.  ``split_exists`` looks for a split of ranks into
+groups of equal sum by trying every set partition.
 """
 
-from itertools import islice, product
+from itertools import combinations, islice, product
 from operator import add
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from tffcomb import ConfigMatrix, ProjectionSet, lr_oracle, validate_config
+from tffcomb import (
+    ConfigMatrix,
+    ProjectionSet,
+    config_naimark_dual,
+    config_spatial_dual,
+    find_config,
+    naimark_dual,
+    spatial_dual,
+    validate_config,
+)
+from tffcomb.configmat import canonical_instance
 from tffcomb.errors import ConvergenceFailure, DegenerateDual, InvalidCertificate
 from tffcomb.partitions import as_partition, conjugate, contains, pad
 
@@ -82,6 +96,68 @@ def brute_count_configs(ranks, dim):
     chosen = []
     fill(0, [0] * dim)
     return found
+
+
+def lr_oracle(
+    lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]
+) -> int:
+    """Littlewood-Richardson coefficient by direct tableau enumeration.
+
+    Counts fillings of the skew shape nu/lam with content mu that are weakly
+    increasing along rows, strictly increasing down columns, and whose
+    right-to-left, top-to-bottom reading word is a lattice word.  Independent
+    of the configuration-matrix search; intended for small shapes.
+    """
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    nu = as_partition(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    if not contains(lam, nu):
+        return 0
+    if not mu:
+        return 1
+    height = len(nu)
+    lamp = pad(lam, height)
+    cells = []
+    for r in range(height):
+        for c in range(nu[r] - 1, lamp[r] - 1, -1):
+            cells.append((r, c))
+    nvals = len(mu)
+    remaining = list(mu)
+    grid = [[0] * nu[r] for r in range(height)]
+    counts = [0] * (nvals + 2)
+    total = 0
+
+    def rec(idx: int):
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        right = grid[r][c + 1] if c + 1 < nu[r] else None
+        above = 0
+        if r > 0 and c < nu[r - 1] and c >= lamp[r - 1]:
+            above = grid[r - 1][c]
+        for v in range(1, nvals + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if right is not None and v > right:
+                continue
+            if v <= above:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            grid[r][c] = v
+            remaining[v - 1] -= 1
+            counts[v] += 1
+            rec(idx + 1)
+            counts[v] -= 1
+            remaining[v - 1] += 1
+            grid[r][c] = 0
+
+    rec(0)
+    return total
 
 
 def chain_count_configs(ranks, dim):
@@ -401,14 +477,12 @@ def _top_eigvecs(sym, rank):
 
 
 def reference_realize(ranks, dim, seed, tol=1e-8, max_restarts=20):
-    """The realizer's loop with one eigendecomposition per block, for
+    """The optimizer's loop with one eigendecomposition per block, for
     weakly decreasing ``ranks`` of a tight sequence; the same restarts,
-    random draws, stall rule and tolerance test as ``realize_tff``."""
+    random draws, stall rule and tolerance test as ``realize._alternate``."""
     alpha = sum(ranks) / dim
     kblocks = len(ranks)
     eye = np.eye(dim)
-    if all(r == dim for r in ranks):
-        return ProjectionSet(dim=dim, blocks=(eye,) * kblocks)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(max_restarts):
@@ -435,3 +509,68 @@ def reference_realize(ranks, dim, seed, tol=1e-8, max_restarts=20):
         f"no realization within {max_restarts} restarts"
         f" (best residual {best:.3e}, tol {tol:.1e})"
     )
+
+
+def _reference_identity_blocks(cert, count, dim):
+    rows = cert.entries if cert else ((),) * dim
+    return ConfigMatrix(
+        dim=dim,
+        ranks=(dim,) * count + (cert.ranks if cert else ()),
+        entries=tuple(
+            tuple(dim if i == v else 0 for _ in range(count) for v in range(dim))
+            + row
+            for i, row in enumerate(rows)
+        ),
+    )
+
+
+def reference_decide(ranks, dim):
+    """``decide(ranks, dim, certificate=True)`` with the moves kept as a
+    trail of lift steps, replayed in reverse."""
+    ranks, dim = canonical_instance(ranks, dim)
+    trail = []
+    while ranks:
+        full = ranks.count(dim)
+        total = sum(ranks)
+        if full:
+            trail.append((_reference_identity_blocks, full, dim))
+            ranks = ranks[full:]
+            continue
+        if total <= dim:
+            if total < dim:
+                return False, None
+            break
+        co_ranks, co_dim = naimark_dual(ranks, dim)
+        if ranks[0] > co_dim:
+            return False, None
+        if len(ranks) * dim - total < total:
+            trail.append((config_spatial_dual,))
+            ranks, dim = spatial_dual(ranks, dim)
+        elif co_dim < dim:
+            trail.append((config_naimark_dual,))
+            ranks, dim = co_ranks, co_dim
+        else:
+            break
+    cert = None
+    if ranks:
+        cert = find_config(ranks, dim)
+        if cert is None:
+            return False, None
+    for lift, *args in reversed(trail):
+        cert = lift(cert, *args)
+    return True, cert
+
+
+def split_exists(ranks, size, groups):
+    """Whether the ranks split into ``groups`` groups that each sum to
+    ``size``: every set partition whose first group holds the first rank."""
+    if not ranks:
+        return groups == 0
+    rest = range(1, len(ranks))
+    for k in range(len(ranks)):
+        for others in combinations(rest, k):
+            if ranks[0] + sum(ranks[i] for i in others) == size:
+                left = [r for i, r in enumerate(ranks[1:], 1) if i not in others]
+                if split_exists(left, size, groups - 1):
+                    return True
+    return False

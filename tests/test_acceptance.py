@@ -38,7 +38,7 @@ from test_realize import (
     reference_projection_set,
     valid_multiplicity_functions,
 )
-from oracles import chain_count_configs
+from oracles import chain_count_configs, lr_oracle
 from tffcomb import (
     config_naimark_dual,
     config_spatial_dual,
@@ -47,7 +47,6 @@ from tffcomb import (
     enumerate_tff,
     first3_check,
     iter_configs,
-    lr_oracle,
     mu_chain,
     okada_product,
     realize_tff,

@@ -22,6 +22,7 @@ from oracles import (
     brute_count_configs,
     chain_count_configs,
     hook_completion_oracle,
+    lr_oracle,
     partitions_in_box,
     reference_columns,
 )
@@ -33,7 +34,6 @@ from tffcomb import (
     find_config,
     hook_completion_feasible,
     iter_configs,
-    lr_oracle,
     mu_chain,
     okada_product,
     render_tableaux,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import partitions_in_box
-from tffcomb.configmat import lr_oracle, okada_product
+from oracles import lr_oracle, partitions_in_box
+from tffcomb.configmat import hook_completion_feasible, okada_product
 from tffcomb.errors import DoesNotFit, NotDominated, TFFCombError
 from tffcomb.partitions import (
     as_partition,
@@ -220,10 +220,15 @@ class TestGenerators:
      lambda: dual_in_rectangle((2, 3), 3, 2),
      lambda: as_partition((2.7, 1.2)), lambda: dual_in_rectangle((1.5,), 3, 2),
      lambda: lr_oracle((1.5,), (1,), (2,)), lambda: conjugate((1, 2)),
-     lambda: okada_product(1.5, 1, 1, 1)],
+     lambda: okada_product(1.5, 1, 1, 1),
+     lambda: list(partitions_of(2.5)), lambda: list(partitions_of(-3)),
+     lambda: partitions_of(4, 1.5),
+     lambda: hook_completion_feasible((2, 1), 1, 3, "a"),
+     lambda: hook_completion_feasible((2, 1), 1.5, 3, 2)],
     ids=["increasing", "negative", "pad-short", "chain", "rectangle",
          "fractional", "fractional-rectangle", "fractional-lr", "conjugate",
-         "okada-fractional"],
+         "okada-fractional", "partitions-fractional", "partitions-negative",
+         "partitions-fractional-cap", "hook-text-dim", "hook-fractional-k"],
 )
 def test_malformed_partition_is_typed_error(call):
     with pytest.raises(TFFCombError):

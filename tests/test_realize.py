@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import reference_realize
+from oracles import reference_realize, split_exists
 from refdata import (
     CERT_6x11_RANKS_42221,
     REFERENCE_BASIS_6x11,
@@ -20,6 +20,7 @@ from tffcomb import (
     validate_multiplicity,
     verify_tff,
 )
+from tffcomb import realize
 from tffcomb.errors import (
     ConvergenceFailure,
     InvalidMultiplicity,
@@ -27,6 +28,14 @@ from tffcomb.errors import (
     MalformedInput,
     NotATFFSequence,
 )
+from tffcomb.partitions import partitions_of
+from tffcomb.realize import (
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    _alternate,
+    _coordinate_frame,
+)
+from tffcomb.tffcore import descend
 
 
 def grid_eigenvalues(max_den):
@@ -258,14 +267,19 @@ def _realize_or_failure(realizer, ranks, dim, seed):
         return str(exc)
 
 
+def _kernel(ranks, dim, seed):
+    return _alternate(ranks, dim, seed, DEFAULT_TOL, DEFAULT_RESTARTS)
+
+
 class TestStackedKernel:
     def test_agrees_with_per_block_loop(self):
         # every tight sequence with dim <= 5 and 1 < alpha <= 2, seeded by
-        # its index: the stacked eigendecomposition gives the frames of the
-        # per-block loop, and both fail to converge together
+        # its index, run through the optimizer in its own dimension: the
+        # stacked eigendecomposition gives the frames of the per-block loop,
+        # and both fail to converge together
         assert len(SMALL_TIGHT) == 90
         for seed, (ranks, dim) in enumerate(SMALL_TIGHT):
-            got = _realize_or_failure(realize_tff, ranks, dim, seed)
+            got = _realize_or_failure(_kernel, ranks, dim, seed)
             want = _realize_or_failure(reference_realize, ranks, dim, seed)
             assert type(got) is type(want), (ranks, dim, got, want)
             if isinstance(want, str):
@@ -274,6 +288,59 @@ class TestStackedKernel:
             for x, y in zip(got.blocks, want.blocks):
                 assert np.allclose(x, y, atol=1e-10), (ranks, dim)
             assert verify_tff(got, tol=1e-8).passed, (ranks, dim)
+
+
+# every tight sequence with dim <= 6 and 1 < alpha <= 3
+TIGHT_TO_3 = [
+    (ranks, dim)
+    for dim in range(1, 7)
+    for num in range(dim + 1, 3 * dim + 1)
+    for ranks in enumerate_tff(Fraction(num, dim), dim)
+]
+
+
+def _exact_terminal(ranks, dim):
+    """Whether the descent of (ranks, dim) ends where coordinate blocks
+    realize it: no ranks left, M = N, or an integer bound whose ranks split
+    into groups summing to the dimension."""
+    path = descend(ranks, dim)
+    groups, rest = divmod(sum(path.ranks), path.dim)
+    return not rest and split_exists(path.ranks, path.dim, groups)
+
+
+class TestExactPaths:
+    def test_every_sequence_realizes(self):
+        assert len(TIGHT_TO_3) == 1169
+        for seed, (ranks, dim) in enumerate(TIGHT_TO_3):
+            frame = realize_tff(ranks, dim, seed=seed)
+            assert frame.ranks == ranks
+            assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
+
+    def test_exact_terminals_need_no_optimizer(self, monkeypatch):
+        def no_optimizer(*args):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr(realize, "_alternate", no_optimizer)
+        exact = [inst for inst in TIGHT_TO_3 if _exact_terminal(*inst)]
+        assert len(exact) == 513
+        assert sum(sum(r) <= 2 * d for r, d in exact) == 150
+        for ranks, dim in exact:
+            frame = realize_tff(ranks, dim, seed=0)
+            assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
+
+    def test_split_matches_set_partitions(self):
+        # the split search finds coordinate blocks exactly when some set
+        # partition of the ranks has groups that each sum to the dimension
+        for dim in range(1, 7):
+            for groups in range(1, 5):
+                for ranks in partitions_of(groups * dim, max_part=dim):
+                    if len(ranks) > 10:
+                        continue
+                    frame = _coordinate_frame(ranks, dim)
+                    assert (frame is not None) == split_exists(ranks, dim, groups)
+                    if frame is not None:
+                        assert frame.ranks == ranks
+                        assert verify_tff(frame, tol=0).passed, (ranks, dim)
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tffcomb
+from oracles import reference_decide
 from refdata import EXPECTED_MAXIMAL
 from tffcomb import (
     alpha_reduce,
@@ -32,7 +33,9 @@ from tffcomb.errors import (
     InvalidRanks,
 )
 from tffcomb.partitions import dominance_leq, partitions_of
-from tffcomb.tffcore import _admissible
+from tffcomb.tffcore import _admissible, descend
+
+DUALS = {"spatial": spatial_dual, "naimark": naimark_dual}
 
 
 # every public entry point that takes a (ranks, dim) instance
@@ -191,6 +194,48 @@ class TestDecide:
                     checked += 1
         assert checked == 1394
 
+    def test_answers_and_certificates_match_trail_descent(self):
+        # every partition with 1 <= dim <= 7 and 1 <= total <= 3*dim: the
+        # descent record lifts certificates exactly as the trail of lift
+        # steps did
+        checked = 0
+        for dim in range(1, 8):
+            for total in range(1, 3 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    want = reference_decide(ranks, dim)
+                    assert decide(ranks, dim, certificate=True) == want, (ranks, dim)
+                    assert decide(ranks, dim) == want[0]
+                    checked += 1
+        assert checked == 3902
+
+    def test_descent_record_replays(self):
+        # replaying each record's moves from the input reaches its terminal,
+        # and the end it names holds there
+        for dim in range(1, 8):
+            for total in range(1, 3 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    path = descend(ranks, dim)
+                    inst = (ranks, dim)
+                    for kind, count in path.moves:
+                        if kind == "peel":
+                            assert inst[0][:count] == (inst[1],) * count
+                            inst = (inst[0][count:], inst[1])
+                        else:
+                            inst = DUALS[kind](*inst)
+                    assert inst == (path.ranks, path.dim), (ranks, dim)
+                    m, n = sum(path.ranks), path.dim
+                    assert path.end == (
+                        "empty" if not path.ranks
+                        else "short" if m < n
+                        else "square" if m == n
+                        else "wide" if path.ranks[0] > m - n
+                        else "search"
+                    )
+                    if path.end == "search":
+                        # no move applies: no full rank, neither dual shrinks
+                        assert n not in path.ranks
+                        assert 2 * n <= m <= len(path.ranks) * n - m
+
     @pytest.mark.parametrize(
         "ranks, tight",
         [((4, 4, 4, 4), True), ((5, 4, 4, 4), True), ((5, 4, 4, 3), False)],
@@ -225,6 +270,11 @@ class TestFillmore:
 
     @pytest.mark.parametrize("trace, rank", [(-1, 0), (2, -1)])
     def test_negative_is_typed_error(self, trace, rank):
+        with pytest.raises(InvalidParameter):
+            fillmore_feasible(trace, rank)
+
+    @pytest.mark.parametrize("trace, rank", [("1/0", 1), ("x", 1), (3, 2.5)])
+    def test_malformed_is_typed_error(self, trace, rank):
         with pytest.raises(InvalidParameter):
             fillmore_feasible(trace, rank)
 
