@@ -10,6 +10,7 @@ independently of how they were produced.  Frames are built through
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -19,13 +20,14 @@ import numpy as np
 from .configmat import ConfigMatrix, canonical_instance, check_instance, mu_chain
 from .errors import (
     ConvergenceFailure,
+    InvalidAlpha,
     InvalidMultiplicity,
     InvalidParameter,
     InvalidRanks,
     MalformedInput,
     NotATFFSequence,
 )
-from .partitions import pad
+from .partitions import as_ints, as_rational, pad
 from .tffcore import decide, descend
 
 Rational = Fraction | int
@@ -122,43 +124,41 @@ class VerificationReport:
         return self.passed
 
 
-def _normalize_multiplicities(m: Mapping) -> dict[Fraction, int] | None:
-    out: dict[Fraction, int] = {}
-    for key, mult in m.items():
-        if mult == 0:
-            continue
-        if int(mult) != mult or mult < 0:
-            return None
-        lam = Fraction(key)
-        out[lam] = out.get(lam, 0) + int(mult)
-    return out
+def _spectrum(p: int, q: int, dim: int, m: Mapping) -> tuple | None:
+    """``(p, q, dim, m)`` as integers and a Counter of rational eigenvalues
+    if ``m`` is the spectrum multiplicity function of P + Q for orthogonal
+    projections of ranks p and q on a dim-dimensional space, else None.
+
+    Conditions: multiplicities nonnegative and summing to dim; support
+    inside [0, 2]; m(1) >= |p - q|; symmetry m(x) = m(2 - x) on (0, 2); and
+    m(0) - m(2) = dim - p - q.  Raises InvalidParameter for a p, q or dim
+    that is not an integer, InvalidMultiplicity for a key that is not a
+    rational or a multiplicity that is not an integer.
+    """
+    p, q, dim = as_ints((p, q, dim), InvalidParameter)
+    lams = [as_rational(key, InvalidMultiplicity) for key in m]
+    mults = as_ints(m.values(), InvalidMultiplicity)
+    if not (0 <= p <= dim and 0 <= q <= dim) or min(mults, default=0) < 0:
+        return None
+    mm: Counter[Fraction] = Counter()
+    for lam, mult in zip(lams, mults):
+        mm[lam] += mult
+    if (
+        any(n and not 0 <= lam <= 2 for lam, n in mm.items())
+        or sum(mm.values()) != dim
+        or mm[1] < abs(p - q)
+        or any(0 < lam < 2 and mm[2 - lam] != n for lam, n in mm.items())
+        or mm[0] - mm[2] != dim - p - q
+    ):
+        return None
+    return p, q, dim, mm
 
 
 def validate_multiplicity(p: int, q: int, dim: int, m: Mapping) -> bool:
     """Whether ``m`` is a spectrum multiplicity function of P + Q for some
-    orthogonal projections of ranks p and q on a dim-dimensional space.
-
-    Conditions: support inside [0, 2]; multiplicities summing to dim;
-    m(1) >= |p - q|; symmetry m(x) = m(2 - x) on (0, 2); and
-    m(0) - m(2) = dim - p - q.
-    """
-    if not (0 <= p <= dim and 0 <= q <= dim):
-        return False
-    mm = _normalize_multiplicities(m)
-    if mm is None:
-        return False
-    if any(lam < 0 or lam > 2 for lam in mm):
-        return False
-    if sum(mm.values()) != dim:
-        return False
-    if mm.get(Fraction(1), 0) < abs(p - q):
-        return False
-    for lam, mult in mm.items():
-        if 0 < lam < 2 and mm.get(2 - lam, 0) != mult:
-            return False
-    if mm.get(Fraction(0), 0) - mm.get(Fraction(2), 0) != dim - p - q:
-        return False
-    return True
+    orthogonal projections of ranks p and q on a dim-dimensional space; see
+    ``_spectrum`` for the conditions and the errors."""
+    return _spectrum(p, q, dim, m) is not None
 
 
 def two_projection_sum(
@@ -172,18 +172,15 @@ def two_projection_sum(
     blocks share the line, eigenvalue 1 blocks use a line in only one of P, Q
     (the |p-q| forced ones) or two orthogonal lines (the remaining pairs).
     """
-    if not validate_multiplicity(p, q, dim, m):
+    spectrum = _spectrum(p, q, dim, m)
+    if spectrum is None:
         raise InvalidMultiplicity(
             f"not a two-projection spectrum for ranks ({p}, {q}) in dim {dim}"
         )
-    mm = _normalize_multiplicities(m)
-    P = np.zeros((dim, dim))
-    Q = np.zeros((dim, dim))
-    pos = 0
-    for _ in range(mm.get(Fraction(2), 0)):
-        P[pos, pos] = 1.0
-        Q[pos, pos] = 1.0
-        pos += 1
+    p, q, dim, mm = spectrum
+    P, Q = np.zeros((2, dim, dim))
+    pos = mm[2]
+    P[:pos, :pos] = Q[:pos, :pos] = np.eye(pos)
     uppers = sorted((lam for lam in mm if 1 < lam < 2), reverse=True)
     for lam in uppers:
         c = float(lam - 1)
@@ -193,18 +190,14 @@ def two_projection_sum(
             Q[pos:pos + 2, pos:pos + 2] = [[c * c, c * s], [c * s, s * s]]
             pos += 2
     forced = abs(p - q)
-    for _ in range(forced):
-        if p >= q:
-            P[pos, pos] = 1.0
-        else:
-            Q[pos, pos] = 1.0
-        pos += 1
-    extra = mm.get(Fraction(1), 0) - forced
+    (P if p >= q else Q)[pos:pos + forced, pos:pos + forced] = np.eye(forced)
+    pos += forced
+    extra = mm[1] - forced
     for _ in range(extra // 2):
         P[pos, pos] = 1.0
         Q[pos + 1, pos + 1] = 1.0
         pos += 2
-    pos += mm.get(Fraction(0), 0)
+    pos += mm[0]
     assert pos == dim, "block dimensions do not add up"
     return P, Q
 
@@ -239,29 +232,31 @@ def realize_tff(
 ) -> ProjectionSet:
     """Explicit orthonormal block bases with projections summing to alpha*I.
 
-    Builds a frame for the terminal instance of ``tffcore.descend`` and
-    lifts it back exactly: identity blocks for a peel, block complements for
-    a spatial dual, an orthogonal completion of the synthesis matrix for a
-    Naimark dual.  A terminal whose ranks fill M/N orthogonal decompositions
-    of coordinate blocks (no ranks left and M = N included) needs no
-    optimizer and no seed.  Other terminals run the optimizer, ``_alternate``,
-    from ``seed``, which also polishes a lifted frame that misses ``tol``.
-    Deterministic for a fixed seed.  Raises InvalidParameter unless
-    ``seed >= 0`` and ``max_restarts >= 1`` are integers and ``tol >= 0``;
-    a zero tolerance demands an exact realization.
+    Descends once with ``tffcore.descend``, builds a frame for the terminal
+    instance and lifts it back exactly: identity blocks for a peel, block
+    complements for a spatial dual, an orthogonal completion of the
+    synthesis matrix for a Naimark dual.  A terminal whose ranks fill M/N
+    orthogonal decompositions of coordinate blocks (no ranks left and M = N
+    included) is tight and needs no decision, optimizer or seed.  Another
+    terminal is decided (NotATFFSequence unless tight) and runs the
+    optimizer, ``_alternate``, from ``seed``, which also polishes a lifted
+    frame that misses ``tol``.  Deterministic for a fixed seed.  Raises
+    InvalidParameter unless ``seed >= 0`` and ``max_restarts >= 1`` are
+    integers and ``tol >= 0``; a zero tolerance demands an exact result.
     """
     _check_count("seed", seed, 0)
     _check_count("max_restarts", max_restarts, 1)
     _check_tol(tol)
     ranks, dim = canonical_instance(ranks, dim)
-    if not decide(ranks, dim):
-        raise NotATFFSequence(
-            f"{ranks} admits no tight fusion frame in dimension {dim}"
-        )
     path = descend(ranks, dim)
-    frame = _coordinate_frame(path.ranks, path.dim) or _alternate(
-        path.ranks, path.dim, seed, tol, max_restarts
-    )
+    frame = _coordinate_frame(path.ranks, path.dim)
+    if frame is None:
+        # the terminal has the input's answer, and a split proves it tight
+        if not decide(path.ranks, path.dim):
+            raise NotATFFSequence(
+                f"{ranks} admits no tight fusion frame in dimension {dim}"
+            )
+        frame = _alternate(path.ranks, path.dim, seed, tol, max_restarts)
     frame = path.lift(frame, _peel_lift, _spatial_lift, _naimark_lift)
     sum_res, orth = _residuals(frame, float(frame.alpha))
     if not all(x <= tol for x in (sum_res, *orth)):
@@ -381,11 +376,13 @@ def verify_tff(
 
     Measures the Frobenius residual of sum(P_k) - alpha*I, per-block
     orthonormality and idempotence, and the numerical rank of every block;
-    passes iff all residuals are within ``tol`` and ranks match.  Raises
-    InvalidParameter for a negative or NaN ``tol``, as realize_tff does.
+    passes iff all residuals are within ``tol`` and ranks match.  ``alpha``
+    is read as a rational (``"3/2"`` too) or raises InvalidAlpha; a negative
+    or NaN ``tol`` raises InvalidParameter, as in realize_tff.
     """
     _check_tol(tol)
-    sum_res, orth = _residuals(s, float(s.alpha if alpha is None else alpha))
+    alpha = s.alpha if alpha is None else as_rational(alpha, InvalidAlpha)
+    sum_res, orth = _residuals(s, float(alpha))
     projs = [b @ b.T for b in s.blocks]
     idem = tuple(float(np.linalg.norm(p @ p - p)) for p in projs)
     nranks = tuple(

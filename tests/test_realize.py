@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from refdata import (
 )
 from tffcomb import (
     ProjectionSet,
+    decide,
     enumerate_tff,
     realize_tff,
     spectrum_chain,
@@ -23,6 +25,7 @@ from tffcomb import (
 from tffcomb import realize
 from tffcomb.errors import (
     ConvergenceFailure,
+    InvalidAlpha,
     InvalidMultiplicity,
     InvalidParameter,
     MalformedInput,
@@ -113,6 +116,37 @@ class TestValidateMultiplicity:
     def test_zero_minus_two_balance(self):
         assert not validate_multiplicity(2, 2, 4, {2: 1, 1: 1, 0: 2})
         assert validate_multiplicity(2, 2, 4, {2: 2, 0: 2})
+
+    def test_negative_multiplicity_is_infeasible(self):
+        assert not validate_multiplicity(1, 1, 2, {1: 3, 0: -1})
+
+    def test_integral_values_accepted(self):
+        assert validate_multiplicity(2.0, 2, 4.0, {"2": 2.0, 0: 2})
+        got = two_projection_sum(2.0, 2, 4.0, {"2": 2.0, 0: 2})
+        want = two_projection_sum(2, 2, 4, {2: 2, 0: 2})
+        assert all(map(np.array_equal, got, want))
+
+
+# a spectrum map or rank that is not an integer or a rational, each with a
+# valid map for ranks (1, 1) in dim 2 otherwise
+MALFORMED_SPECTRA = {
+    "fractional-ranks": ((1.5, 0.5, 2, {1: 2}), InvalidParameter),
+    "text-rank": (("1", 1, 2, {1: 2}), InvalidParameter),
+    "text-key": ((1, 1, 2, {"x": 2}), InvalidMultiplicity),
+    "zero-denominator-key": ((1, 1, 2, {"1/0": 2}), InvalidMultiplicity),
+    "nan-key": ((1, 1, 2, {float("nan"): 2}), InvalidMultiplicity),
+    "fractional-multiplicity": ((1, 1, 2, {1: 1.5, 0: 0.5}), InvalidMultiplicity),
+    "text-multiplicity": ((1, 1, 2, {1: "2"}), InvalidMultiplicity),
+}
+
+
+@pytest.mark.parametrize("fn", [validate_multiplicity, two_projection_sum])
+@pytest.mark.parametrize(
+    "args, error", MALFORMED_SPECTRA.values(), ids=MALFORMED_SPECTRA
+)
+def test_malformed_spectrum_is_typed_error(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 class TestTwoProjectionSum:
@@ -308,6 +342,10 @@ def _exact_terminal(ranks, dim):
     return not rest and split_exists(path.ranks, path.dim, groups)
 
 
+def _must_not_run(*args):
+    raise AssertionError("a patched-out step ran")
+
+
 class TestExactPaths:
     def test_every_sequence_realizes(self):
         assert len(TIGHT_TO_3) == 1169
@@ -317,16 +355,32 @@ class TestExactPaths:
             assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
 
     def test_exact_terminals_need_no_optimizer(self, monkeypatch):
-        def no_optimizer(*args):
-            raise AssertionError("the optimizer ran")
-
-        monkeypatch.setattr(realize, "_alternate", no_optimizer)
+        # nor a decision: coordinate blocks prove the terminal tight
+        monkeypatch.setattr(realize, "_alternate", _must_not_run)
+        monkeypatch.setattr(realize, "decide", _must_not_run)
         exact = [inst for inst in TIGHT_TO_3 if _exact_terminal(*inst)]
         assert len(exact) == 513
         assert sum(sum(r) <= 2 * d for r, d in exact) == 150
         for ranks, dim in exact:
             frame = realize_tff(ranks, dim, seed=0)
             assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
+
+    def test_every_non_tight_sequence_rejected(self, monkeypatch):
+        # every non-tight partition with dim <= 6 and 1 < alpha <= 3, by how
+        # its descent ends, is rejected before the optimizer would run
+        monkeypatch.setattr(realize, "_alternate", _must_not_run)
+        ends = Counter()
+        for dim in range(1, 7):
+            for total in range(dim + 1, 3 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    path = descend(ranks, dim)
+                    if path.end in ("short", "wide") or (
+                        path.end == "search" and not decide(ranks, dim)
+                    ):
+                        ends[path.end] += 1
+                        with pytest.raises(NotATFFSequence):
+                            realize_tff(ranks, dim, seed=0)
+        assert ends == {"short": 94, "wide": 238, "search": 57}
 
     def test_split_matches_set_partitions(self):
         # the split search finds coordinate blocks exactly when some set
@@ -368,6 +422,17 @@ class TestVerify:
     def test_wrong_alpha_fails(self):
         rep = verify_tff(reference_projection_set(), alpha=2, tol=1e-8)
         assert not rep.passed
+
+    def test_alpha_read_as_rational(self):
+        ps = realize_tff((1, 1, 1), 2, seed=0)
+        want = verify_tff(ps, alpha=Fraction(3, 2))
+        assert want.passed
+        assert verify_tff(ps, alpha="3/2") == want
+
+    @pytest.mark.parametrize("alpha", ["x", "1/0", float("nan"), [1]])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidAlpha):
+            verify_tff(reference_projection_set(), alpha=alpha)
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from tffcomb import (
     fillmore_feasible,
     find_config,
     first3_check,
+    hook_completion_feasible,
     hook_type_decide,
     iter_configs,
     k_block_bound,
@@ -23,14 +24,17 @@ from tffcomb import (
     realize_tff,
     recur_strip,
     spatial_dual,
+    two_projection_sum,
     unique_maximal,
     validate_config,
+    validate_multiplicity,
 )
 from tffcomb.errors import (
     AlphaOutOfRange,
     InvalidAlpha,
     InvalidParameter,
     InvalidRanks,
+    TFFCombError,
 )
 from tffcomb.partitions import dominance_leq, partitions_of
 from tffcomb.tffcore import _admissible, descend
@@ -67,7 +71,17 @@ ALPHA_ENTRY_POINTS = {
     "k_block_bound": lambda alpha, dim: k_block_bound((1, 1, 1, 1), dim, alpha),
 }
 
-# public functions that take alpha, or ranks and dim, outside the sweeps
+# every public entry point that takes dim without ranks or alpha, called
+# with dim alone; each call is valid at dim = 2
+DIM_ENTRY_POINTS = {
+    "hook_completion_feasible": lambda dim: hook_completion_feasible(
+        (2, 2), 0, 2, dim
+    ),
+    "validate_multiplicity": lambda dim: validate_multiplicity(1, 1, dim, {1: 2}),
+    "two_projection_sum": lambda dim: two_projection_sum(1, 1, dim, {1: 2}),
+}
+
+# public functions that take alpha, or ranks or dim, outside the sweeps
 SWEEP_EXEMPT = {
     "unique_maximal": "returns None outside its four families",
     "verify_tff": "takes alpha as a float target for the spectrum",
@@ -130,13 +144,22 @@ class TestInstanceBoundary:
         with pytest.raises(InvalidAlpha):
             ALPHA_ENTRY_POINTS[name](alpha, 4)
 
+    @pytest.mark.parametrize("name", sorted(DIM_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "dim", [2.5, "2", None], ids=["fractional-dim", "string-dim", "none"]
+    )
+    def test_malformed_dim_rejected(self, name, dim):
+        assert DIM_ENTRY_POINTS[name](2) is not False
+        with pytest.raises(TFFCombError):
+            DIM_ENTRY_POINTS[name](dim)
+
     def test_integral_alpha_instance_accepted(self):
         for fn in (maximal_elements, enumerate_tff, alpha_reduce, unique_maximal):
             assert fn(1.5, 4.0) == fn(Fraction(3, 2), 4)
 
     def test_every_public_entry_point_is_swept(self):
-        # a new public function taking (ranks, dim) or alpha joins a sweep
-        # or is exempted here with a reason
+        # a new public function taking (ranks, dim), alpha, or dim alone
+        # joins a sweep or is exempted here with a reason
         for name in tffcomb.__all__:
             obj = getattr(tffcomb, name)
             if not inspect.isfunction(obj) or name in SWEEP_EXEMPT:
@@ -146,6 +169,8 @@ class TestInstanceBoundary:
                 assert name in INSTANCE_ENTRY_POINTS, name
             if "alpha" in params:
                 assert name in ALPHA_ENTRY_POINTS, name
+            if "dim" in params and not {"ranks", "alpha"} & params.keys():
+                assert name in DIM_ENTRY_POINTS, name
 
 
 class TestDecide:
