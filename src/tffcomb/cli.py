@@ -281,19 +281,18 @@ def _parse_spectrum(text: str) -> dict[Fraction, int]:
 
 
 def _cmd_two_proj(args) -> int:
-    spectrum = args.spectrum
-    valid = realize.validate_multiplicity(args.p, args.q, args.dim, spectrum)
+    parsed = realize._spectrum(args.p, args.q, args.dim, args.spectrum)
     payload = {
         "p": args.p,
         "q": args.q,
         "dim": args.dim,
-        "spectrum": {str(k): v for k, v in spectrum.items()},
-        "valid": valid,
+        "spectrum": {str(k): v for k, v in args.spectrum.items()},
+        "valid": parsed is not None,
     }
-    if not valid:
+    if parsed is None:
         _emit(payload, "multiplicity function is not realizable", args.json)
         return EXIT_NEGATIVE
-    pmat, qmat = realize.two_projection_sum(args.p, args.q, args.dim, spectrum)
+    pmat, qmat = realize._two_projections(*parsed)
     payload["P"] = [[float(x) for x in row] for row in pmat]
     payload["Q"] = [[float(x) for x in row] for row in qmat]
     eigs = sorted(np.linalg.eigvalsh(pmat + qmat))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,13 +59,7 @@ class ProjectionSet:
         return {
             "dim": self.dim,
             "alpha": str(self.alpha),
-            "blocks": [
-                {
-                    "rank": b.shape[1],
-                    "basis": [list(map(float, b[:, j])) for j in range(b.shape[1])],
-                }
-                for b in self.blocks
-            ],
+            "blocks": [{"rank": b.shape[1], "basis": b.T.tolist()} for b in self.blocks],
         }
 
     @classmethod
@@ -106,10 +101,8 @@ class ProjectionSet:
 
     def to_csv(self) -> str:
         """Concatenated basis matrix, one comma-separated line per row."""
-        full = np.hstack(self.blocks)
-        return "\n".join(
-            ",".join(repr(float(x)) for x in row) for row in full
-        )
+        rows = np.hstack(self.blocks).tolist()
+        return "\n".join(",".join(map(repr, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,11 @@ def two_projection_sum(
         raise InvalidMultiplicity(
             f"not a two-projection spectrum for ranks ({p}, {q}) in dim {dim}"
         )
-    p, q, dim, mm = spectrum
+    return _two_projections(*spectrum)
+
+
+def _two_projections(p: int, q: int, dim: int, mm: Counter) -> tuple[np.ndarray, ...]:
+    """``two_projection_sum`` for a spectrum ``_spectrum`` has accepted."""
     P, Q = np.zeros((2, dim, dim))
     pos = mm[2]
     P[:pos, :pos] = Q[:pos, :pos] = np.eye(pos)
@@ -235,9 +232,11 @@ def realize_tff(
     Descends once with ``tffcore.descend``, builds a frame for the terminal
     instance and lifts it back exactly: identity blocks for a peel, block
     complements for a spatial dual, an orthogonal completion of the
-    synthesis matrix for a Naimark dual.  A terminal whose ranks fill M/N
-    orthogonal decompositions of coordinate blocks (no ranks left and M = N
-    included) is tight and needs no decision, optimizer or seed.  Another
+    synthesis matrix for a Naimark dual.  A terminal (L_k) in R^N is covered
+    by spectral tetris when the spectral-tetris frame of its M unit vectors
+    splits into families of sizes L_k with disjoint supports (needing M/N an
+    integer or M >= 2N; ``_tetris_frame``); it is then tight, realized by
+    orthonormal families with no decision, optimizer or seed.  Another
     terminal is decided (NotATFFSequence unless tight) and runs the
     optimizer, ``_alternate``, from ``seed``, which also polishes a lifted
     frame that misses ``tol``.  Deterministic for a fixed seed.  Raises
@@ -249,9 +248,9 @@ def realize_tff(
     _check_tol(tol)
     ranks, dim = canonical_instance(ranks, dim)
     path = descend(ranks, dim)
-    frame = _coordinate_frame(path.ranks, path.dim)
+    frame = _tetris_frame(path.ranks, path.dim)
     if frame is None:
-        # the terminal has the input's answer, and a split proves it tight
+        # the terminal has the input's answer, and a tetris split proves it tight
         if not decide(path.ranks, path.dim):
             raise NotATFFSequence(
                 f"{ranks} admits no tight fusion frame in dimension {dim}"
@@ -264,32 +263,47 @@ def realize_tff(
     return frame
 
 
-def _coordinate_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
-    """Coordinate blocks if the ranks split into M/N groups that each fill
-    the N coordinates, else None.  A state of the split search is the rank
-    index with the sorted group fills; a state that failed is not retried."""
-    groups, rest = divmod(sum(ranks), dim)
-    fills, starts, failed = [0] * groups, [0] * len(ranks), set()
-
-    def place(i: int) -> bool:
-        key = (i, tuple(sorted(fills)))
-        if i == len(ranks) or key in failed:
-            return i == len(ranks)
-        for fill in sorted(set(fills)):
-            if fill + ranks[i] <= dim:
-                g = fills.index(fill)
-                fills[g] += ranks[i]
-                if place(i + 1):
-                    starts[i] = fill
-                    return True
-                fills[g] = fill
-        failed.add(key)
-        return False
-
-    if rest or not place(0):
+def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
+    """The spectral-tetris frame of M = sum(ranks) unit vectors in R^dim split
+    into blocks of sizes ``ranks`` with disjoint supports, or None (at once if
+    M/dim < 2 is not an integer).  Row j, with exact weight r left, places e_j
+    while r >= 1, then (sqrt(r/2), +-sqrt(1 - r/2)) on rows j, j+1 if r > 0; two
+    vectors are orthogonal iff their supports are disjoint.  A search state is
+    the vector index and the families' sorted (size left, last row used, at
+    least the vector's first row - 1); one open family per size left is tried,
+    and a failed state is not retried."""
+    total = sum(ranks)
+    if total < 2 * dim and total % dim:
         return None
-    eye = np.eye(dim)
-    return ProjectionSet(dim, tuple(eye[:, s:s + r] for s, r in zip(starts, ranks)))
+    # row weights in units of 1/dim; a vector is (rows, entries)
+    weight, vectors = [total] * dim, []
+    for j in range(dim):
+        count, w = divmod(weight[j], dim)
+        vectors += [((j,), (1.0,))] * count
+        if w:
+            a, b = np.sqrt(w / (2 * dim)), np.sqrt((2 * dim - w) / (2 * dim))
+            vectors += [((j, j + 1), (a, b)), ((j, j + 1), (a, -b))]
+            weight[j + 1] -= 2 * dim - w
+    fams, owner, undo, trail, failed = [(n, -1) for n in ranks], [], [], [], set()
+    while len(owner) < total:
+        first = vectors[len(owner)][0][0]
+        key = len(owner), tuple(sorted((n, max(end, first - 1)) for n, end in fams if n))
+        picks = {} if key in failed else {
+            n: k for k, (n, end) in enumerate(fams) if n and end < first}
+        trail.append((key, iter(picks.values())))
+        while (k := next(trail[-1][1], None)) is None:
+            failed.add(trail.pop()[0])
+            if not trail:
+                return None
+            fams[owner.pop()] = undo.pop()
+        undo.append(fams[k])
+        fams[k] = (fams[k][0] - 1, vectors[len(owner)][0][-1])
+        owner.append(k)
+    order = sorted(range(total), key=owner.__getitem__)
+    frame, cuts = np.zeros((dim, total)), list(accumulate(ranks, initial=0))
+    frame.put([row * total + col for col, i in enumerate(order) for row in vectors[i][0]],
+              [x for i in order for x in vectors[i][1]])
+    return ProjectionSet(dim, tuple(frame[:, a:b] for a, b in zip(cuts, cuts[1:])))
 
 
 def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:

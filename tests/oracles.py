@@ -16,9 +16,13 @@ before the blocks shared one stacked eigendecomposition: one ``eigh`` call
 and one projection per block.  The reference descent is ``decide`` as it
 was before the descent became a record: the moves kept as a list of
 ``(lift, *args)`` steps.  ``split_exists`` looks for a split of ranks into
-groups of equal sum by trying every set partition.
+groups of equal sum by trying every set partition.  ``tetris_oracle``
+builds the spectral-tetris frame with its own row walk, reads which of its
+vectors are orthogonal from their inner products, and tries every
+assignment of the vectors to blocks on that graph, with no memo.
 """
 
+from fractions import Fraction
 from itertools import combinations, islice, product
 from operator import add
 from typing import Iterator, Sequence
@@ -574,3 +578,61 @@ def split_exists(ranks, size, groups):
                 if split_exists(left, size, groups - 1):
                     return True
     return False
+
+
+def tetris_vectors(total, dim):
+    """The spectral-tetris frame of ``total`` unit vectors in R^dim, one row
+    per vector, or None when a row's leftover weight cannot be placed."""
+    left = [Fraction(total, dim)] * dim + [Fraction(0)]
+    vectors = []
+    for j in range(dim):
+        while left[j] > 0:
+            vec = np.zeros(dim + 1)
+            if left[j] >= 1:
+                vec[j] = 1.0
+                vectors.append(vec)
+                left[j] -= 1
+                continue
+            r = left[j]
+            if left[j + 1] < 2 - r:
+                return None
+            vec[j], vec[j + 1] = np.sqrt(float(r) / 2), np.sqrt(1 - float(r) / 2)
+            mirror = vec.copy()
+            mirror[j + 1] *= -1
+            vectors += [vec, mirror]
+            left[j], left[j + 1] = 0, left[j + 1] - (2 - r)
+    return np.array(vectors).reshape(-1, dim + 1)[:, :dim]
+
+
+def tetris_oracle(ranks, dim):
+    """Blocks of frame-vector indices, of sizes ``ranks``, each a set of
+    pairwise orthogonal spectral-tetris vectors, or None.  Every assignment
+    of the vectors, in frame order, to a block with room is tried; only
+    empty blocks of equal size are taken as alike.  Asserts that two of the
+    vectors are orthogonal exactly when their supports are disjoint."""
+    vectors = tetris_vectors(sum(ranks), dim)
+    if vectors is None:
+        return None
+    orthogonal = np.abs(vectors @ vectors.T) < 1e-12
+    disjoint = (vectors != 0).astype(int) @ (vectors != 0).T.astype(int) == 0
+    assert np.array_equal(orthogonal, disjoint), (ranks, dim)
+    blocks = [[] for _ in ranks]
+
+    def assign(i):
+        if i == len(vectors):
+            return True
+        empty_sizes = set()
+        for block, size in zip(blocks, ranks):
+            if len(block) == size or not all(orthogonal[i, m] for m in block):
+                continue
+            if not block:
+                if size in empty_sizes:
+                    continue
+                empty_sizes.add(size)
+            block.append(i)
+            if assign(i + 1):
+                return True
+            block.pop()
+        return False
+
+    return blocks if assign(0) else None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tffcomb import configmat, render_tableaux, validate_config
+from tffcomb import configmat, realize, render_tableaux, validate_config
 from tffcomb.cli import main
 
 
@@ -306,6 +306,35 @@ class TestTwoProj:
             "--spectrum", "3/2:1,1/2:1,0:1",
         )
         assert code == 1
+
+    def test_infeasible_spectrum_payload(self, capsys):
+        code, out, _ = run(
+            capsys, "two-proj", "--dim", "3", "--p", "2", "--q", "1",
+            "--spectrum", "3/2:1,1/2:1,0:1", "--json",
+        )
+        assert code == 1 and json.loads(out)["valid"] is False
+
+    def test_malformed_spectrum_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["two-proj", "--dim", "2", "--p", "1", "--q", "1",
+                  "--spectrum", "3/2:1.5,1/2:1"])
+        assert exc.value.code == 2
+        assert "bad spectrum" in capsys.readouterr().err
+
+    def test_spectrum_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse = realize._spectrum
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(realize, "_spectrum", counted)
+        code, _, _ = run(
+            capsys, "two-proj", "--dim", "2", "--p", "1", "--q", "1",
+            "--spectrum", "3/2:1,1/2:1",
+        )
+        assert code == 0 and len(calls) == 1
 
 
 class TestRealizeVerify:

@@ -1,11 +1,12 @@
 import json
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import reference_realize, split_exists
+from oracles import reference_realize, split_exists, tetris_oracle, tetris_vectors
 from refdata import (
     CERT_6x11_RANKS_42221,
     REFERENCE_BASIS_6x11,
@@ -36,7 +37,7 @@ from tffcomb.realize import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     _alternate,
-    _coordinate_frame,
+    _tetris_frame,
 )
 from tffcomb.tffcore import descend
 
@@ -333,17 +334,61 @@ TIGHT_TO_3 = [
 ]
 
 
-def _exact_terminal(ranks, dim):
+def _terminal(ranks, dim):
+    path = descend(ranks, dim)
+    return path.ranks, path.dim
+
+
+def _split_terminal(ranks, dim):
     """Whether the descent of (ranks, dim) ends where coordinate blocks
     realize it: no ranks left, M = N, or an integer bound whose ranks split
     into groups summing to the dimension."""
-    path = descend(ranks, dim)
-    groups, rest = divmod(sum(path.ranks), path.dim)
-    return not rest and split_exists(path.ranks, path.dim, groups)
+    ranks, dim = _terminal(ranks, dim)
+    groups, rest = divmod(sum(ranks), dim)
+    return not rest and split_exists(ranks, dim, groups)
+
+
+@cache
+def _oracle_covers(ranks, dim):
+    return tetris_oracle(ranks, dim) is not None
+
+
+def _tetris_terminal(ranks, dim):
+    """Whether spectral tetris covers the terminal of (ranks, dim), by the
+    brute-force oracle."""
+    return _oracle_covers(*_terminal(ranks, dim))
 
 
 def _must_not_run(*args):
     raise AssertionError("a patched-out step ran")
+
+
+# the terminals of the tight sequences with dim <= 9 and 1 < alpha <= 2
+# that spectral tetris does not cover, by terminal dimension (one digit per
+# rank)
+TETRIS_MISSES = {
+    5: (
+        "41111111 411111111 4211111 42111111 422111 4221111 42221 422211 "
+        "42222 4311111 432111 43221 43311 433111 4411111 442111"
+    ),
+    6: (
+        "511111111 5111111111 52111111 521111111 5221111 52211111 522211 "
+        "5222111 52222 522221 53111111 5321111 532211 53222 533111 53321"
+    ),
+    7: (
+        "51111111111 5211111111 522111111 52221111 5222211 522222 "
+        "531111111 53211111 5322111 532221 5331111 533211 53322 53331 "
+        "544111 54421 6111111111 61111111111 621111111 6211111111 "
+        "62211111 622111111 6222111 62221111 622221 6222211 622222 "
+        "631111111 63211111 6322111 632221 6331111 633211 63322 63331"
+    ),
+    8: (
+        "611111111111 62111111111 6221111111 622211111 62222111 6222221 "
+        "6311111111 632111111 63221111 6322211 632222 63311111 6332111 "
+        "633221 633311 63332 71111111111 7211111111 722111111 72221111 "
+        "7222211 722222"
+    ),
+}
 
 
 class TestExactPaths:
@@ -354,16 +399,82 @@ class TestExactPaths:
             assert frame.ranks == ranks
             assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
 
+    def test_tetris_matches_oracle(self):
+        # on every terminal of TIGHT_TO_3, the library's split search finds
+        # blocks exactly when the brute-force oracle does, and its blocks
+        # are made of the oracle's spectral-tetris vectors
+        terminals = sorted({_terminal(*inst) for inst in TIGHT_TO_3})
+        assert len(terminals) == 810
+        for ranks, dim in terminals:
+            frame = _tetris_frame(ranks, dim)
+            assert (frame is not None) == _oracle_covers(ranks, dim), (ranks, dim)
+            if frame is not None:
+                assert frame.ranks == ranks
+                got = np.hstack((np.zeros((dim, 0)), *frame.blocks)).T
+                want = tetris_vectors(sum(ranks), dim)
+                assert np.allclose(got[np.lexsort(got.T)], want[np.lexsort(want.T)],
+                                   rtol=0, atol=1e-15), (ranks, dim)
+
     def test_exact_terminals_need_no_optimizer(self, monkeypatch):
-        # nor a decision: coordinate blocks prove the terminal tight
+        # nor a decision: the blocks prove the terminal tight
         monkeypatch.setattr(realize, "_alternate", _must_not_run)
         monkeypatch.setattr(realize, "decide", _must_not_run)
-        exact = [inst for inst in TIGHT_TO_3 if _exact_terminal(*inst)]
-        assert len(exact) == 513
-        assert sum(sum(r) <= 2 * d for r, d in exact) == 150
+        split = [inst for inst in TIGHT_TO_3 if _split_terminal(*inst)]
+        exact = [inst for inst in TIGHT_TO_3 if _tetris_terminal(*inst)]
+        assert len(split) == 513 and set(split) <= set(exact)
+        assert len(exact) == 1118
+        assert sum(sum(r) <= 2 * d for r, d in exact) == 201
         for ranks, dim in exact:
             frame = realize_tff(ranks, dim, seed=0)
             assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
+
+    def test_exact_frames_are_seed_free(self):
+        for ranks, dim in TIGHT_TO_3:
+            if _tetris_terminal(ranks, dim):
+                a = realize_tff(ranks, dim, seed=0)
+                b = realize_tff(ranks, dim, seed=7)
+                assert all(map(np.array_equal, a.blocks, b.blocks)), (ranks, dim)
+
+    def test_tetris_misses_are_pinned(self):
+        # the paper's point that spectral tetris cannot build every tight
+        # fusion frame, checked on every tight sequence with dim <= 9 and
+        # 1 < alpha <= 2 through its terminal
+        tight = [
+            (ranks, dim)
+            for dim in range(1, 10)
+            for num in range(dim + 1, 2 * dim + 1)
+            for ranks in enumerate_tff(Fraction(num, dim), dim)
+        ]
+        missed = {
+            _terminal(*inst) for inst in tight
+            if _tetris_frame(*_terminal(*inst)) is None
+        }
+        want = {
+            (tuple(map(int, word)), dim)
+            for dim, words in TETRIS_MISSES.items()
+            for word in words.split()
+        }
+        assert len(tight) == 1584 and len(want) == 89
+        assert missed == want
+        assert sum(_terminal(*inst) not in want for inst in tight) == 1491
+        assert Counter(dim - ranks[0] for ranks, dim in want) == {1: 57, 2: 32}
+
+    def test_guard_before_building(self, monkeypatch):
+        # every short or wide end with dim <= 6 and alpha <= 3 has a bound
+        # below 2 that is not an integer, and the builder returns None
+        # without touching numpy
+        monkeypatch.setattr(realize, "np", None)
+        ends = Counter()
+        for dim in range(1, 7):
+            for total in range(1, 3 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    path = descend(ranks, dim)
+                    if path.end in ("short", "wide"):
+                        lam = Fraction(sum(path.ranks), path.dim)
+                        assert lam < 2 and lam.denominator != 1
+                        assert _tetris_frame(path.ranks, path.dim) is None
+                        ends[path.end] += 1
+        assert ends == {"short": 133, "wide": 238}
 
     def test_every_non_tight_sequence_rejected(self, monkeypatch):
         # every non-tight partition with dim <= 6 and 1 < alpha <= 3, by how
@@ -382,19 +493,23 @@ class TestExactPaths:
                             realize_tff(ranks, dim, seed=0)
         assert ends == {"short": 94, "wide": 238, "search": 57}
 
-    def test_split_matches_set_partitions(self):
-        # the split search finds coordinate blocks exactly when some set
-        # partition of the ranks has groups that each sum to the dimension
+    def test_split_implies_tetris(self):
+        # a split of the ranks into groups that each sum to the dimension
+        # makes coordinate blocks, so spectral tetris finds blocks too, and
+        # every frame it returns is tight: exactly for an integer bound
         for dim in range(1, 7):
-            for groups in range(1, 5):
-                for ranks in partitions_of(groups * dim, max_part=dim):
+            for total in range(1, 4 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
                     if len(ranks) > 10:
                         continue
-                    frame = _coordinate_frame(ranks, dim)
-                    assert (frame is not None) == split_exists(ranks, dim, groups)
+                    frame = _tetris_frame(ranks, dim)
+                    groups, rest = divmod(total, dim)
+                    if not rest and split_exists(ranks, dim, groups):
+                        assert frame is not None, (ranks, dim)
                     if frame is not None:
                         assert frame.ranks == ranks
-                        assert verify_tff(frame, tol=0).passed, (ranks, dim)
+                        tol = 1e-12 if rest else 0
+                        assert verify_tff(frame, tol=tol).passed, (ranks, dim)
 
 
 class TestVerify:
