@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -215,9 +214,14 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameter(f"tolerance must be nonnegative, got {tol}")
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value: int, least: int) -> int:
+    try:
+        (count,) = as_ints((value,), InvalidParameter)
+        if count >= least:
+            return count
+    except InvalidParameter:
+        pass
+    raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def realize_tff(
@@ -241,10 +245,10 @@ def realize_tff(
     optimizer, ``_alternate``, from ``seed``, which also polishes a lifted
     frame that misses ``tol``.  Deterministic for a fixed seed.  Raises
     InvalidParameter unless ``seed >= 0`` and ``max_restarts >= 1`` are
-    integers and ``tol >= 0``; a zero tolerance demands an exact result.
+    integral (``2.0`` too) and ``tol >= 0``; a zero tolerance demands exactness.
     """
-    _check_count("seed", seed, 0)
-    _check_count("max_restarts", max_restarts, 1)
+    seed = _check_count("seed", seed, 0)
+    max_restarts = _check_count("max_restarts", max_restarts, 1)
     _check_tol(tol)
     ranks, dim = canonical_instance(ranks, dim)
     path = descend(ranks, dim)
@@ -268,10 +272,14 @@ def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
     into blocks of sizes ``ranks`` with disjoint supports, or None (at once if
     M/dim < 2 is not an integer).  Row j, with exact weight r left, places e_j
     while r >= 1, then (sqrt(r/2), +-sqrt(1 - r/2)) on rows j, j+1 if r > 0; two
-    vectors are orthogonal iff their supports are disjoint.  A search state is
-    the vector index and the families' sorted (size left, last row used, at
-    least the vector's first row - 1); one open family per size left is tried,
-    and a failed state is not retried."""
+    vectors are orthogonal iff their supports are disjoint.  Each vector, in
+    frame order, joins the free family (last row used below its first row)
+    with the most vectors left; None when no family is free.  Greedy is exact:
+    supports are row intervals of length 1 or 2 whose first and last rows never
+    decrease, so a free family stays free.  If a split puts v in free A (a
+    left) while free B has b > a, some clean cut (last row before < first row
+    after) past v has as many of A's vectors from v on as of B's left; swapping
+    the tails there puts v in B, and both families stay disjoint."""
     total = sum(ranks)
     if total < 2 * dim and total % dim:
         return None
@@ -284,26 +292,17 @@ def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
             a, b = np.sqrt(w / (2 * dim)), np.sqrt((2 * dim - w) / (2 * dim))
             vectors += [((j, j + 1), (a, b)), ((j, j + 1), (a, -b))]
             weight[j + 1] -= 2 * dim - w
-    fams, owner, undo, trail, failed = [(n, -1) for n in ranks], [], [], [], set()
-    while len(owner) < total:
-        first = vectors[len(owner)][0][0]
-        key = len(owner), tuple(sorted((n, max(end, first - 1)) for n, end in fams if n))
-        picks = {} if key in failed else {
-            n: k for k, (n, end) in enumerate(fams) if n and end < first}
-        trail.append((key, iter(picks.values())))
-        while (k := next(trail[-1][1], None)) is None:
-            failed.add(trail.pop()[0])
-            if not trail:
-                return None
-            fams[owner.pop()] = undo.pop()
-        undo.append(fams[k])
-        fams[k] = (fams[k][0] - 1, vectors[len(owner)][0][-1])
-        owner.append(k)
-    order = sorted(range(total), key=owner.__getitem__)
-    frame, cuts = np.zeros((dim, total)), list(accumulate(ranks, initial=0))
-    frame.put([row * total + col for col, i in enumerate(order) for row in vectors[i][0]],
-              [x for i in order for x in vectors[i][1]])
-    return ProjectionSet(dim, tuple(frame[:, a:b] for a, b in zip(cuts, cuts[1:])))
+    blocks = [np.zeros((dim, n)) for n in ranks]
+    left, last = list(ranks), [-1] * len(ranks)
+    for rows, entries in vectors:
+        free = (k for k, n in enumerate(left) if n and last[k] < rows[0])
+        k = max(free, key=left.__getitem__, default=None)
+        if k is None:
+            return None
+        blocks[k][rows, ranks[k] - left[k]] = entries
+        left[k] -= 1
+        last[k] = rows[-1]
+    return ProjectionSet(dim, tuple(blocks))
 
 
 def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:

@@ -276,6 +276,13 @@ class TestRealize:
         with pytest.raises(InvalidParameter, match=name):
             realize_tff((3, 3), 5, **options)
 
+    def test_integral_parameters_read_as_ints(self):
+        # spectral tetris misses (4, 2, 2, 2, 1) in dimension 5, so the
+        # optimizer runs from the seed
+        a = realize_tff((4, 2, 2, 2, 1), 5, seed=2.0, max_restarts=3.0)
+        b = realize_tff((4, 2, 2, 2, 1), 5, seed=2, max_restarts=3)
+        assert all(map(np.array_equal, a.blocks, b.blocks))
+
     def test_deterministic_for_seed(self):
         a = realize_tff((2, 2, 2), 4, seed=11)
         b = realize_tff((2, 2, 2), 4, seed=11)
@@ -400,12 +407,22 @@ class TestExactPaths:
             assert verify_tff(frame, tol=1e-8).passed, (ranks, dim)
 
     def test_tetris_matches_oracle(self):
-        # on every terminal of TIGHT_TO_3, the library's split search finds
-        # blocks exactly when the brute-force oracle does, and its blocks
-        # are made of the oracle's spectral-tetris vectors
-        terminals = sorted({_terminal(*inst) for inst in TIGHT_TO_3})
-        assert len(terminals) == 810
-        for ranks, dim in terminals:
+        # on every terminal of TIGHT_TO_3, and on every partition with
+        # dim <= 6, M <= 3 dim and at most 10 parts that passes the guard
+        # (non-terminals and non-tight ones too), the library's greedy split
+        # finds blocks exactly when the brute-force oracle does, and its
+        # blocks are made of the oracle's spectral-tetris vectors
+        terminals = {_terminal(*inst) for inst in TIGHT_TO_3}
+        guarded = {
+            (ranks, dim)
+            for dim in range(1, 7)
+            for total in range(1, 3 * dim + 1)
+            if total >= 2 * dim or total % dim == 0
+            for ranks in partitions_of(total, max_part=dim)
+            if len(ranks) <= 10
+        }
+        assert len(terminals) == 810 and len(guarded - terminals) == 537
+        for ranks, dim in sorted(terminals | guarded):
             frame = _tetris_frame(ranks, dim)
             assert (frame is not None) == _oracle_covers(ranks, dim), (ranks, dim)
             if frame is not None:
@@ -414,6 +431,24 @@ class TestExactPaths:
                 want = tetris_vectors(sum(ranks), dim)
                 assert np.allclose(got[np.lexsort(got.T)], want[np.lexsort(want.T)],
                                    rtol=0, atol=1e-15), (ranks, dim)
+
+    def test_tetris_supports_are_monotone_intervals(self):
+        # the premise of the greedy split's exchange argument: every support
+        # is a row interval of length 1 or 2, and first and last rows never
+        # decrease in frame order
+        frames = 0
+        for dim in range(1, 13):
+            for total in range(1, 5 * dim + 1):
+                if total < 2 * dim and total % dim:
+                    continue
+                rows = [np.flatnonzero(v) for v in tetris_vectors(total, dim)]
+                assert all(
+                    len(r) in (1, 2) and r[-1] - r[0] == len(r) - 1 for r in rows
+                ), (total, dim)
+                firsts, lasts = [r[0] for r in rows], [r[-1] for r in rows]
+                assert firsts == sorted(firsts) and lasts == sorted(lasts), (total, dim)
+                frames += 1
+        assert frames == 258
 
     def test_exact_terminals_need_no_optimizer(self, monkeypatch):
         # nor a decision: the blocks prove the terminal tight
