@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -158,11 +159,14 @@ def _cmd_tableau(args) -> int:
 
 
 def _maximal_payload(alpha: Fraction, dim: int) -> dict:
+    """One cell of the table, with the seconds ``maximal_elements`` took."""
+    started = time.perf_counter()
     tops = tffcore.maximal_elements(alpha, dim)
     return {
         "alpha": str(alpha),
         "dim": dim,
         "maximal": [list(t) for t in tops],
+        "seconds": round(time.perf_counter() - started, 6),
     }
 
 

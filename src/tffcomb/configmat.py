@@ -23,11 +23,12 @@ with no certificate below them are remembered.  It prunes by the support of
 the Littlewood-Richardson product: the blocks not yet filled must fill the
 180-degree complement lambda of the current shape, so lambda lies in the
 product of their rectangles.  Hence the largest later rectangle fits in
-lambda (``_fit_test``, applied while each column is built), and at each
-block start the union and the row-wise sum of the later rectangles bound
-lambda in dominance order (mu u nu <= lambda <= mu + nu).  Only states
-without a completion are cut, so the search order and its certificates are
-those of the unpruned walk.
+lambda (checked while each column is built), and at each block start the
+union and the row-wise sum of the rectangles still to come bound lambda in
+dominance order (mu u nu <= lambda <= mu + nu).  One plan (``_plan``) lays
+out the columns with these bounds, and ``_column_options`` applies them.
+Only states without a completion are cut, so the search order and its
+certificates are those of the unpruned walk.
 
 Counting (count_configs) meets in the middle of the box instead.  The count
 is the coefficient of the box ``(M^N)`` in the product of the rectangles
@@ -35,7 +36,9 @@ is the coefficient of the box ``(M^N)`` in the product of the rectangles
 to the box exactly when each is the other's 180-degree complement, with
 coefficient 1.  So the blocks are split into two halves, each half counts
 the ways it fills every shape from the empty one, and the count is the sum
-of the products of the two counts over complementary pairs of shapes.
+of the products of the two counts over complementary pairs of shapes.  Each
+half walks its columns by the search's plan, with the other half as the
+blocks still to come, so both walks cut by the same rules.
 """
 
 from __future__ import annotations
@@ -240,32 +243,58 @@ def check_alpha(alpha: Fraction | int, dim: int) -> tuple[Fraction, int, int]:
     return alpha, dim, total.numerator
 
 
-def _fit_test(later: Sequence[int], n: int, m: int) -> tuple[int, int]:
-    """``(row, cap)``: the largest rectangle ``(n^rank)`` of ``later`` fits in
-    the 180-degree complement of a shape in the n x m box iff
-    ``shape[row] <= cap``.  With no ``later`` blocks the test always holds."""
-    return (n - max(later), m - n) if later else (0, m)
+def _plan(
+    blocks: Sequence[int], later: Sequence[int], n: int, m: int
+) -> list[tuple]:
+    """One step per column of ``blocks``: ``(value, in_block, fit, window)``.
+
+    ``value`` is the column's label and ``in_block`` whether the next column
+    is in the same block.  The blocks after the column's own, the rest of
+    ``blocks`` and then ``later``, fill the 180-degree complement lambda of
+    the shape, so their largest rectangle ``(n^rank)`` fits in lambda iff
+    ``shape[row] <= cap`` for ``fit = (row, cap)``.  At a block start,
+    ``window = (lo, hi)`` bounds the top i+1 rows of lambda by those of the
+    union and the row-wise sum of the rectangles still to come, the block's
+    own included; elsewhere it is None.
+    """
+    plan = []
+    for k, width in enumerate(blocks):
+        rest = [*blocks[k:], *later]
+        window = (
+            [n * min(i, sum(rest)) for i in range(1, n + 1)],
+            [n * sum(min(r, i) for r in rest) for i in range(1, n + 1)],
+        )
+        fit = (n - max(rest[1:]), m - n) if rest[1:] else (0, m)
+        plan += [(v, v < width, fit, None if v > 1 else window)
+                 for v in range(1, width + 1)]
+    return plan
 
 
 def _column_options(
     rho: tuple[int, ...],
     prev: tuple[int, ...] | None,
-    value: int,
+    step: tuple,
     n: int,
     m: int,
-    fit: tuple[int, int],
 ) -> list[tuple[int, ...]]:
     """Admissible next columns, in descending lexicographic order.
 
-    ``rho`` holds the current row sums.  A column for label ``value`` must put
-    zero in rows above ``value``, keep each row within the staircase capacity
-    of the row above (property (iv)), and respect in-block dominance against
-    ``prev`` (property (v)).  The new row sums must pass the ``_fit_test``
-    pair ``fit`` of the blocks after the column's own.
+    ``rho`` holds the current row sums and ``step`` is the column's entry of
+    ``_plan``.  None is admissible at a block start whose window excludes
+    ``rho``.  A column for label ``value`` must put zero in rows above
+    ``value``, keep each row within the staircase capacity of the row above
+    (property (iv)), and respect in-block dominance against ``prev``
+    (property (v)).  The new row sums must pass the step's ``fit``.
     """
-    row, cap = fit
+    value, _, (row, cap), window = step
     if rho[row] > cap:
         return []
+    if window is not None:
+        top = 0
+        for lo, hi, x in zip(*window, reversed(rho)):
+            top += m - x
+            if not lo <= top <= hi:
+                return []
     caps = [0] * n
     for i in range(value - 1, n):
         caps[i] = (m - rho[0]) if i == 0 else (rho[i - 1] - rho[i])
@@ -312,59 +341,31 @@ def _shape_counts(
     Fills the columns of the blocks left to right from the empty shape and
     returns ``{row sums: ways}``.  A state is the row sums plus the previous
     column, which only matters inside a block, so it is dropped at block ends
-    and the states of a block merge there.  The blocks after the current
-    one, the rest of ``blocks`` and then ``later``, fill the 180-degree
-    complement of the shape the current block ends on, so every column is
-    built to pass their ``_fit_test``.
+    and the states of a block merge there.  The ``later`` blocks fill the
+    rest of the box, and every column is pruned by the ``_plan`` the search
+    uses.
     """
     states: dict = {((0,) * n, None): 1}
-    for k, width in enumerate(blocks):
-        fit = _fit_test([*blocks[k + 1:], *later], n, m)
-        for v in range(1, width + 1):
-            in_block = v < width
-            grown: dict = {}
-            for (rho, prev), ways in states.items():
-                for col in _column_options(rho, prev, v, n, m, fit):
-                    key = (tuple(map(add, rho, col)), col if in_block else None)
-                    grown[key] = grown.get(key, 0) + ways
-            states = grown
+    for step in _plan(blocks, later, n, m):
+        grown: dict = {}
+        for (rho, prev), ways in states.items():
+            for col in _column_options(rho, prev, step, n, m):
+                key = (tuple(map(add, rho, col)), col if step[1] else None)
+                grown[key] = grown.get(key, 0) + ways
+        states = grown
     return {rho: ways for (rho, _), ways in states.items()}
 
 
 def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
     """Every certificate for ``(ranks, n)`` as a list of columns, in the
-    search order, pruned by the support bounds of the module docstring:
-    ``fit[c]`` for column ``c`` and ``windows[c]`` for the block starting at
-    column ``c``.
+    search order, pruned by the ``_plan`` of the support bounds in the module
+    docstring.
 
     A state (column, row sums, previous column) whose subtree held no
     certificate is remembered and skipped when it is reached again.
     """
     m = sum(ranks)
-    cols = []
-    fit = []
-    # windows[c][i]: bounds on the top i+1 rows of lambda at block start c
-    windows = {}
-    for k, width in enumerate(ranks):
-        later = ranks[k:]
-        windows[len(cols)] = (
-            [n * min(i, sum(later)) for i in range(1, n + 1)],
-            [n * sum(min(r, i) for r in later) for i in range(1, n + 1)],
-        )
-        fit += [_fit_test(later[1:], n, m)] * width
-        cols += [(k, v) for v in range(1, width + 1)]
-
-    def in_window(c: int, rho: tuple[int, ...]) -> bool:
-        """At block start ``c``, whether each top-row sum of lambda lies
-        between those of the union and the row-wise sum of the rectangles."""
-        lo, hi = windows[c]
-        top = 0
-        for i, x in enumerate(reversed(rho)):
-            top += m - x
-            if not lo[i] <= top <= hi[i]:
-                return False
-        return True
-
+    plan = _plan(ranks, (), n, m)
     failed: set = set()
     chosen: list[tuple[int, ...]] = []
     found = 0
@@ -376,22 +377,17 @@ def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
             found += 1
             yield list(chosen)
             return
-        key = (c, rho, prev)
-        if c in windows and not in_window(c, rho):
-            failed.add(key)
-            return
         before = found
-        blk, v = cols[c]
-        in_block = c + 1 < m and cols[c + 1][0] == blk
-        for col in _column_options(rho, prev, v, n, m, fit[c]):
-            child = (c + 1, tuple(map(add, rho, col)), col if in_block else None)
+        step = plan[c]
+        for col in _column_options(rho, prev, step, n, m):
+            child = (c + 1, tuple(map(add, rho, col)), col if step[1] else None)
             if child in failed:
                 continue
             chosen.append(col)
             yield from go(*child)
             chosen.pop()
         if found == before:
-            failed.add(key)
+            failed.add((c, rho, prev))
 
     yield from go(0, (0,) * n, None)
 

@@ -10,9 +10,10 @@ independently of how they were produced.  Frames are built through
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -274,12 +275,14 @@ def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
     while r >= 1, then (sqrt(r/2), +-sqrt(1 - r/2)) on rows j, j+1 if r > 0; two
     vectors are orthogonal iff their supports are disjoint.  Each vector, in
     frame order, joins the free family (last row used below its first row)
-    with the most vectors left; None when no family is free.  Greedy is exact:
-    supports are row intervals of length 1 or 2 whose first and last rows never
-    decrease, so a free family stays free.  If a split puts v in free A (a
-    left) while free B has b > a, some clean cut (last row before < first row
-    after) past v has as many of A's vectors from v on as of B's left; swapping
-    the tails there puts v in B, and both families stay disjoint."""
+    with the most vectors left, the lowest index on a tie; None when no family
+    is free.  Greedy is exact: supports are row intervals of length 1 or 2
+    whose first and last rows never decrease, so a free family stays free.  If
+    a split puts v in free A (a left) while free B has b > a, some clean cut
+    (last row before < first row after) past v has as many of A's vectors from
+    v on as of B's left; swapping the tails there puts v in B, and both
+    families stay disjoint.  Free families wait in a heap and busy ones in
+    order of their last row, so the pass takes O(M log K) for K families."""
     total = sum(ranks)
     if total < 2 * dim and total % dim:
         return None
@@ -293,15 +296,18 @@ def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
             vectors += [((j, j + 1), (a, b)), ((j, j + 1), (a, -b))]
             weight[j + 1] -= 2 * dim - w
     blocks = [np.zeros((dim, n)) for n in ranks]
-    left, last = list(ranks), [-1] * len(ranks)
+    # free: heap of (-vectors left, k); busy: queue of (last row, -left, k)
+    free, busy = [(-n, k) for k, n in enumerate(ranks)], deque()
+    heapify(free)
     for rows, entries in vectors:
-        free = (k for k, n in enumerate(left) if n and last[k] < rows[0])
-        k = max(free, key=left.__getitem__, default=None)
-        if k is None:
+        while busy and busy[0][0] < rows[0]:
+            heappush(free, busy.popleft()[1:])
+        if not free:
             return None
-        blocks[k][rows, ranks[k] - left[k]] = entries
-        left[k] -= 1
-        last[k] = rows[-1]
+        neg_left, k = heappop(free)
+        blocks[k][rows, ranks[k] + neg_left] = entries
+        if neg_left < -1:
+            busy.append((rows[-1], neg_left + 1, k))
     return ProjectionSet(dim, tuple(blocks))
 
 

@@ -20,6 +20,8 @@ groups of equal sum by trying every set partition.  ``tetris_oracle``
 builds the spectral-tetris frame with its own row walk, reads which of its
 vectors are orthogonal from their inner products, and tries every
 assignment of the vectors to blocks on that graph, with no memo.
+``greedy_tetris_frame`` is the library's ``_tetris_frame`` as it was when
+its greedy split scanned every family for every vector.
 """
 
 from fractions import Fraction
@@ -636,3 +638,41 @@ def tetris_oracle(ranks, dim):
         return False
 
     return blocks if assign(0) else None
+
+
+def greedy_tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
+    """The spectral-tetris frame of M = sum(ranks) unit vectors in R^dim split
+    into blocks of sizes ``ranks`` with disjoint supports, or None (at once if
+    M/dim < 2 is not an integer).  Row j, with exact weight r left, places e_j
+    while r >= 1, then (sqrt(r/2), +-sqrt(1 - r/2)) on rows j, j+1 if r > 0; two
+    vectors are orthogonal iff their supports are disjoint.  Each vector, in
+    frame order, joins the free family (last row used below its first row)
+    with the most vectors left; None when no family is free.  Greedy is exact:
+    supports are row intervals of length 1 or 2 whose first and last rows never
+    decrease, so a free family stays free.  If a split puts v in free A (a
+    left) while free B has b > a, some clean cut (last row before < first row
+    after) past v has as many of A's vectors from v on as of B's left; swapping
+    the tails there puts v in B, and both families stay disjoint."""
+    total = sum(ranks)
+    if total < 2 * dim and total % dim:
+        return None
+    # row weights in units of 1/dim; a vector is (rows, entries)
+    weight, vectors = [total] * dim, []
+    for j in range(dim):
+        count, w = divmod(weight[j], dim)
+        vectors += [((j,), (1.0,))] * count
+        if w:
+            a, b = np.sqrt(w / (2 * dim)), np.sqrt((2 * dim - w) / (2 * dim))
+            vectors += [((j, j + 1), (a, b)), ((j, j + 1), (a, -b))]
+            weight[j + 1] -= 2 * dim - w
+    blocks = [np.zeros((dim, n)) for n in ranks]
+    left, last = list(ranks), [-1] * len(ranks)
+    for rows, entries in vectors:
+        free = (k for k, n in enumerate(left) if n and last[k] < rows[0])
+        k = max(free, key=left.__getitem__, default=None)
+        if k is None:
+            return None
+        blocks[k][rows, ranks[k] - left[k]] = entries
+        left[k] -= 1
+        last[k] = rows[-1]
+    return ProjectionSet(dim, tuple(blocks))

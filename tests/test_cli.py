@@ -133,6 +133,32 @@ class TestMaximal:
         assert cells[(3, "5/3")] == [[2, 1, 1, 1]]
         assert cells[(1, "2")] == [[1, 1]]
 
+    def test_every_cell_records_its_seconds(self, capsys):
+        _, out, _ = run(capsys, "maximal", "--all", "--max-dim", "3", "--json")
+        tables = json.loads(out)["tables"]
+        _, out, _ = run(capsys, "maximal", "--alpha", "5/3", "--dim", "3", "--json")
+        cells = [*tables, json.loads(out)]
+        assert len(cells) == 10
+        for cell in cells:
+            assert set(cell) == {"alpha", "dim", "maximal", "seconds"}
+            assert isinstance(cell["seconds"], float) and cell["seconds"] >= 0
+
+    def test_all_text_is_pinned(self, capsys):
+        # the cell timings are JSON data only; the text table stays as it was
+        code, out, _ = run(capsys, "maximal", "--all", "--max-dim", "3")
+        assert code == 0
+        assert out == (
+            "dim 1  alpha 1: [1]\n"
+            "dim 1  alpha 2: [1, 1]\n"
+            "dim 2  alpha 1: [2]\n"
+            "dim 2  alpha 3/2: [1, 1, 1]\n"
+            "dim 2  alpha 2: [2, 2]\n"
+            "dim 3  alpha 1: [3]\n"
+            "dim 3  alpha 4/3: [1, 1, 1, 1]\n"
+            "dim 3  alpha 5/3: [2, 1, 1, 1]\n"
+            "dim 3  alpha 2: [3, 3]\n"
+        )
+
     @pytest.mark.parametrize("max_dim", ["0", "-1"])
     def test_all_nonpositive_max_dim_is_usage_error(self, capsys, max_dim):
         code, out, _ = run(capsys, "maximal", "--all", "--max-dim", max_dim)

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import reference_realize, split_exists, tetris_oracle, tetris_vectors
+from oracles import (
+    greedy_tetris_frame,
+    reference_realize,
+    split_exists,
+    tetris_oracle,
+    tetris_vectors,
+)
 from refdata import (
     CERT_6x11_RANKS_42221,
     REFERENCE_BASIS_6x11,
@@ -366,6 +372,17 @@ def _tetris_terminal(ranks, dim):
     return _oracle_covers(*_terminal(ranks, dim))
 
 
+@cache
+def _tight_to_2_dim9():
+    """Every tight sequence with dim <= 9 and 1 < alpha <= 2."""
+    return [
+        (ranks, dim)
+        for dim in range(1, 10)
+        for num in range(dim + 1, 2 * dim + 1)
+        for ranks in enumerate_tff(Fraction(num, dim), dim)
+    ]
+
+
 def _must_not_run(*args):
     raise AssertionError("a patched-out step ran")
 
@@ -432,6 +449,37 @@ class TestExactPaths:
                 assert np.allclose(got[np.lexsort(got.T)], want[np.lexsort(want.T)],
                                    rtol=0, atol=1e-15), (ranks, dim)
 
+    def test_split_matches_scanning_greedy(self):
+        # the heap of free families gives every vector the family that the
+        # scan over all families gave it: on every terminal and partition the
+        # other tests here sweep, and on wide inputs with many small families
+        insts = {_terminal(*inst) for inst in TIGHT_TO_3 + _tight_to_2_dim9()}
+        insts |= {
+            (ranks, dim)
+            for dim in range(1, 7)
+            for total in range(1, 4 * dim + 1)
+            for ranks in partitions_of(total, max_part=dim)
+            if len(ranks) <= 10
+        }
+        wide = [((1,) * n, d) for n in (60, 301, 750) for d in (n // 2, n // 3, n // 7)]
+        wide += [((2,) * n, d) for n in (60, 301, 750)
+                 for d in (n, n - 1, 2 * n // 3, n // 2 + 1)]
+        wide += [((3,) * 40 + (2,) * 30, 60), ((4,) * 25 + (3,) * 30 + (1,) * 17, 70),
+                 ((5,) * 30 + (4,) * 31 + (2,) * 40, 90), ((3,) * 100 + (1,) * 50, 140)]
+        # misses: a family of N - 1 or N - 2 vectors with many small ones
+        wide += [((99,) * 2 + (1,) * 150, 100), ((99,) * 2 + (2,) * 75, 100),
+                 ((298,) + (1,) * 303, 300), ((98,) + (2,) * 60, 100)]
+        covered = Counter()
+        for ranks, dim in sorted(insts) + wide:
+            got, want = _tetris_frame(ranks, dim), greedy_tetris_frame(ranks, dim)
+            assert (got is None) == (want is None), (ranks, dim)
+            if want is not None:
+                assert all(map(np.array_equal, got.blocks, want.blocks)), (ranks, dim)
+            covered[(ranks, dim) in wide, want is not None] += 1
+        assert covered == {
+            (False, False): 1023, (False, True): 3608, (True, False): 4, (True, True): 25,
+        }
+
     def test_tetris_supports_are_monotone_intervals(self):
         # the premise of the greedy split's exchange argument: every support
         # is a row interval of length 1 or 2, and first and last rows never
@@ -474,12 +522,7 @@ class TestExactPaths:
         # the paper's point that spectral tetris cannot build every tight
         # fusion frame, checked on every tight sequence with dim <= 9 and
         # 1 < alpha <= 2 through its terminal
-        tight = [
-            (ranks, dim)
-            for dim in range(1, 10)
-            for num in range(dim + 1, 2 * dim + 1)
-            for ranks in enumerate_tff(Fraction(num, dim), dim)
-        ]
+        tight = _tight_to_2_dim9()
         missed = {
             _terminal(*inst) for inst in tight
             if _tetris_frame(*_terminal(*inst)) is None

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import importlib.util
 import json
@@ -66,19 +67,37 @@ def _env_with_src():
     return env
 
 
-def test_table_script_matches_cli_bytes():
-    # the script and ``maximal --all`` share one cell layout
-    def stdout(*argv):
-        return subprocess.run(
-            [sys.executable, *argv], env=_env_with_src(), capture_output=True,
-            timeout=120, check=True,
-        ).stdout
+def _private_imports(tree):
+    """Names a module imports from tffcomb that start with an underscore,
+    module path components included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.split(".")[0] == "tffcomb":
+                parts = module.split(".") + [alias.name for alias in node.names]
+                yield from (f"{module}:{p}" for p in parts if p.startswith("_"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "tffcomb" and any(p.startswith("_") for p in parts):
+                    yield alias.name
 
-    script = stdout(str(ROOT / "scripts" / "make_maximal_tables.py"),
-                    "--max-dim", "4")
-    cli = stdout("-m", "tffcomb.cli", "maximal", "--all", "--max-dim", "4",
-                 "--json")
-    assert script == cli
+
+def test_scripts_use_only_public_names():
+    # a script that reaches into the package's private helpers becomes a
+    # second owner of what they make; the table, for one, is made only by
+    # ``tffcomb maximal --all``
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    private = {
+        path.name: sorted(_private_imports(ast.parse(path.read_text())))
+        for path in scripts
+    }
+    assert private == {path.name: [] for path in scripts}
+    probe = "from tffcomb.cli import main, _helper\nimport tffcomb._x\n"
+    assert sorted(_private_imports(ast.parse(probe))) == [
+        "tffcomb._x", "tffcomb.cli:_helper",
+    ]
 
 
 def test_realize_demo_runs():
