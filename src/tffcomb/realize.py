@@ -5,7 +5,9 @@ point enters.  It constructs explicit orthonormal block bases U_k whose
 projections P_k = U_k U_k^T sum to alpha * I, builds two-projection sums
 with a prescribed spectrum, and verifies candidate realizations
 independently of how they were produced.  Frames are built through
-``decide``'s descent, with the seeded optimizer only where it is needed.
+``decide``'s descent: a terminal instance by spectral tetris, else by the
+eigensteps of its certificates, with the seeded optimizer only as the
+fallback past a fixed number of certificates.
 """
 
 from __future__ import annotations
@@ -14,11 +16,19 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain, islice
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .configmat import ConfigMatrix, canonical_instance, check_instance, mu_chain
+from .configmat import (
+    ConfigMatrix,
+    canonical_instance,
+    check_instance,
+    iter_configs,
+    mu_chain,
+)
 from .errors import (
     ConvergenceFailure,
     InvalidAlpha,
@@ -38,6 +48,11 @@ DEFAULT_RESTARTS = 20
 _MAX_ITER = 4000
 _STALL_WINDOW = 60
 _STALL_FACTOR = 0.9995
+# certificates of a terminal tried by eigensteps before the optimizer; every
+# terminal of the tests' sweeps needs at most 37
+_CERT_CAP = 64
+# largest Frobenius distance from I of an eigenstep block's Gram matrix
+_GRAM_BOUND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -242,11 +257,15 @@ def realize_tff(
     splits into families of sizes L_k with disjoint supports (needing M/N an
     integer or M >= 2N; ``_tetris_frame``); it is then tight, realized by
     orthonormal families with no decision, optimizer or seed.  Another
-    terminal is decided (NotATFFSequence unless tight) and runs the
-    optimizer, ``_alternate``, from ``seed``, which also polishes a lifted
-    frame that misses ``tol``.  Deterministic for a fixed seed.  Raises
-    InvalidParameter unless ``seed >= 0`` and ``max_restarts >= 1`` are
-    integral (``2.0`` too) and ``tol >= 0``; a zero tolerance demands exactness.
+    terminal is decided with a certificate (NotATFFSequence unless tight)
+    and built by that certificate's eigensteps (``_eigenstep_frame``); if a
+    block comes out not orthonormal, the next certificates of
+    ``iter_configs`` are tried, up to a fixed cap.  Only past the cap does
+    the optimizer, ``_alternate``, run from ``seed``; it also polishes a
+    lifted frame that misses ``tol``.  Deterministic for a fixed seed, and
+    seed-free on the exact paths.  Raises InvalidParameter unless
+    ``seed >= 0`` and ``max_restarts >= 1`` are integral (``2.0`` too) and
+    ``tol >= 0``; a zero tolerance demands exactness.
     """
     seed = _check_count("seed", seed, 0)
     max_restarts = _check_count("max_restarts", max_restarts, 1)
@@ -255,12 +274,17 @@ def realize_tff(
     path = descend(ranks, dim)
     frame = _tetris_frame(path.ranks, path.dim)
     if frame is None:
-        # the terminal has the input's answer, and a tetris split proves it tight
-        if not decide(path.ranks, path.dim):
+        # the terminal is a fixed point of the descent, so its certificate
+        # is find_config's, the first of iter_configs
+        tight, cert = decide(path.ranks, path.dim, certificate=True)
+        if not tight:
             raise NotATFFSequence(
                 f"{ranks} admits no tight fusion frame in dimension {dim}"
             )
-        frame = _alternate(path.ranks, path.dim, seed, tol, max_restarts)
+        later = islice(iter_configs(path.ranks, path.dim), 1, _CERT_CAP)
+        frame = next(filter(None, map(_eigenstep_frame, chain([cert], later))), None)
+        if frame is None:
+            frame = _alternate(path.ranks, path.dim, seed, tol, max_restarts)
     frame = path.lift(frame, _peel_lift, _spatial_lift, _naimark_lift)
     sum_res, orth = _residuals(frame, float(frame.alpha))
     if not all(x <= tol for x in (sum_res, *orth)):
@@ -309,6 +333,63 @@ def _tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | None:
         if neg_left < -1:
             busy.append((rows[-1], neg_left + 1, k))
     return ProjectionSet(dim, tuple(blocks))
+
+
+def _eigenstep_weights(
+    before: Sequence[int], after: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """The squared norms of one eigenstep's unit vector in the eigenspaces
+    of the operator before it, as ``(b, num, den)`` with norm ``num/den`` in
+    the eigenspace of eigenvalue b/N; ``before`` and ``after``
+    are the operator's spectra (row sums of a certificate, in units of 1/N,
+    N = len(before)).  The norm is -lim_{x->b} (x - b) p_after(x)/p_before(x)
+    for the characteristic polynomials, nonzero only where the multiplicity
+    of b drops by one, and interlacing makes it positive."""
+    n = len(before)
+    return [
+        (b, -prod(b - t for t in after if t != b),
+         n * prod(b - s for s in before if s != b))
+        for b in set(before)
+        if after.count(b) == before.count(b) - 1
+    ]
+
+
+def _eigenstep_frame(cert: ConfigMatrix) -> ProjectionSet | None:
+    """The frame built by the eigensteps of ``cert``, or None unless every
+    block is orthonormal (Gram matrix within ``_GRAM_BOUND`` of I).
+
+    A certificate is an eigenstep sequence (Cahill, Fickus, Mixon, Poteet and
+    Strawn, ACHA 2013): each column adds a unit vector f to F = sum f f^T, the
+    prefix row sums divided by N are F's exact spectra, and property (iv) is
+    their interlacing.  So f takes the norms of ``_eigenstep_weights`` in F's
+    eigenspaces, whose eigenvectors come from ``eigh`` grouped by the known
+    exact eigenvalues; inside an eigenspace the direction is its first
+    eigenvector, so no seed is used.  Which certificates give orthonormal
+    blocks is open; a rule that picked one directly would remove
+    ``realize_tff``'s cap."""
+    n = cert.dim
+    op = np.zeros((n, n))
+    vectors = []
+    before = [0] * n
+    for column in zip(*cert.entries):
+        after = [s + x for s, x in zip(before, column)]
+        # the row sums decrease and eigh ascends, so b/N's eigenspace starts
+        # at the first index of b in the reversed row sums
+        ascending = before[::-1]
+        vecs = np.linalg.eigh(op)[1]
+        f = sum(
+            np.sqrt(num / den) * vecs[:, ascending.index(b)]
+            for b, num, den in _eigenstep_weights(before, after)
+        )
+        op += np.outer(f, f)
+        vectors.append(f)
+        before = after
+    blocks = np.split(np.array(vectors).T, np.cumsum(cert.ranks)[:-1], axis=1)
+    if any(
+        np.linalg.norm(b.T @ b - np.eye(b.shape[1])) > _GRAM_BOUND for b in blocks
+    ):
+        return None
+    return ProjectionSet(n, tuple(blocks))
 
 
 def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:

@@ -346,7 +346,7 @@ class TestCriterion8:
         with capsys.disabled():
             report(
                 8, ok,
-                f"optimizer residual {rep.sum_residual:.1e}; reference basis"
+                f"eigenstep residual {rep.sum_residual:.1e}; reference basis"
                 f" residual {ref.sum_residual:.1e}; exact rational spectra",
             )
         assert rep.passed

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from functools import cache
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from tffcomb import (
     verify_tff,
 )
 from tffcomb import realize
+from tffcomb.configmat import iter_configs
 from tffcomb.errors import (
     ConvergenceFailure,
     InvalidAlpha,
@@ -43,6 +45,8 @@ from tffcomb.realize import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     _alternate,
+    _eigenstep_frame,
+    _eigenstep_weights,
     _tetris_frame,
 )
 from tffcomb.tffcore import descend
@@ -282,9 +286,10 @@ class TestRealize:
         with pytest.raises(InvalidParameter, match=name):
             realize_tff((3, 3), 5, **options)
 
-    def test_integral_parameters_read_as_ints(self):
-        # spectral tetris misses (4, 2, 2, 2, 1) in dimension 5, so the
-        # optimizer runs from the seed
+    def test_integral_parameters_read_as_ints(self, monkeypatch):
+        # spectral tetris misses (4, 2, 2, 2, 1) in dimension 5, and with no
+        # eigenstep frame the optimizer runs from the seed
+        monkeypatch.setattr(realize, "_eigenstep_frame", lambda cert: None)
         a = realize_tff((4, 2, 2, 2, 1), 5, seed=2.0, max_restarts=3.0)
         b = realize_tff((4, 2, 2, 2, 1), 5, seed=2, max_restarts=3)
         assert all(map(np.array_equal, a.blocks, b.blocks))
@@ -556,7 +561,7 @@ class TestExactPaths:
 
     def test_every_non_tight_sequence_rejected(self, monkeypatch):
         # every non-tight partition with dim <= 6 and 1 < alpha <= 3, by how
-        # its descent ends, is rejected before the optimizer would run
+        # its descent ends, is rejected before any frame is built
         monkeypatch.setattr(realize, "_alternate", _must_not_run)
         ends = Counter()
         for dim in range(1, 7):
@@ -588,6 +593,127 @@ class TestExactPaths:
                         assert frame.ranks == ranks
                         tol = 1e-12 if rest else 0
                         assert verify_tff(frame, tol=tol).passed, (ranks, dim)
+
+
+@cache
+def _tetris_misses():
+    """The sequences whose terminal spectral tetris misses, in the sweep
+    with dim <= 6 and alpha <= 3 and in the one with dim <= 9 and
+    alpha <= 2."""
+    return tuple(
+        [inst for inst in sweep if _tetris_frame(*_terminal(*inst)) is None]
+        for sweep in (TIGHT_TO_3, _tight_to_2_dim9())
+    )
+
+
+def _first_eigenstep_frame(ranks, dim):
+    """The index in ``iter_configs`` of the first certificate whose
+    eigensteps give orthonormal blocks, that certificate and its frame."""
+    for index, cert in enumerate(iter_configs(ranks, dim)):
+        frame = _eigenstep_frame(cert)
+        if frame is not None:
+            return index, cert, frame
+    raise AssertionError((ranks, dim))
+
+
+class TestEigensteps:
+    def test_certificate_columns_interlace(self):
+        # every certificate of every instance with dim <= 5 and M <= 2 dim
+        # (at most 6 ranks in dim 5): each column's row sums interlace those
+        # before it, and its eigenspace norms are positive, sum to 1 and make
+        # the characteristic polynomial after the column from the one before
+        # (a rank-one update: p_after = p_before (1 - sum w_b / (x - b/N)),
+        # checked at N + 1 points, in units of 1/N)
+        certs, steps = 0, set()
+        for dim in range(1, 6):
+            for total in range(1, 2 * dim + 1):
+                for ranks in partitions_of(total, max_part=dim):
+                    if dim == 5 and len(ranks) > 6:
+                        continue
+                    for cert in iter_configs(ranks, dim):
+                        certs += 1
+                        sums = np.cumsum(np.array(cert.entries), axis=1)
+                        before = (0,) * dim
+                        for after in map(tuple, sums.T.tolist()):
+                            steps.add((before, after))
+                            before = after
+        assert certs == 8969 and len(steps) == 1161
+        for before, after in steps:
+            dim = len(before)
+            assert all(
+                after[i] >= before[i] >= (after[i + 1] if i + 1 < dim else 0)
+                for i in range(dim)
+            ), (before, after)
+            weights = {
+                b: Fraction(num, den) for b, num, den in _eigenstep_weights(before, after)
+            }
+            assert all(w > 0 for w in weights.values()), (before, after)
+            assert sum(weights.values()) == 1, (before, after)
+            for y in range(-1, -dim - 2, -1):
+                p_before = prod(y - x for x in before)
+                assert prod(y - x for x in after) == p_before * (
+                    1 - sum(dim * w / (y - b) for b, w in weights.items())
+                ), (before, after)
+
+    def test_misses_need_no_optimizer(self, monkeypatch):
+        # every sequence of both sweeps whose terminal spectral tetris misses
+        # is built from certificate eigensteps, lifted and checked at 1e-9
+        monkeypatch.setattr(realize, "_alternate", _must_not_run)
+        sweeps = _tetris_misses()
+        assert [len(seqs) for seqs in sweeps] == [51, 93]
+        assert [len({_terminal(*inst) for inst in seqs}) for seqs in sweeps] == [36, 89]
+        for ranks, dim in dict.fromkeys(sweeps[0] + sweeps[1]):
+            frame = realize_tff(ranks, dim, seed=0, tol=1e-9)
+            assert frame.ranks == ranks
+            assert verify_tff(frame, tol=1e-9).passed, (ranks, dim)
+
+    def test_certificate_indices_are_pinned(self):
+        # the index in iter_configs of the first certificate that works, for
+        # the 89 misses of the dim <= 9, alpha <= 2 sweep and the 36 of the
+        # dim <= 6, alpha <= 3 sweep: the margin below realize_tff's cap
+        small = {_terminal(*inst) for inst in _tetris_misses()[0]}
+        want = {
+            (tuple(map(int, word)), dim)
+            for dim, words in TETRIS_MISSES.items()
+            for word in words.split()
+        }
+        index = {t: _first_eigenstep_frame(*t)[0] for t in small | want}
+        assert Counter(index[t] for t in small) == {0: 36}
+        assert Counter(index[t] for t in want) == {0: 82, 2: 2, 3: 2, 5: 1, 9: 1, 36: 1}
+        assert {t: i for t, i in index.items() if i} == {
+            ((5, 2, 2, 2, 2, 1, 1), 7): 3, ((5, 3, 2, 2, 2, 1), 7): 9,
+            ((5, 3, 3, 3, 1), 7): 2, ((5, 4, 4, 2, 1), 7): 5,
+            ((6, 2, 2, 2, 2, 2, 1), 8): 36, ((6, 3, 2, 2, 2, 1, 1), 8): 2,
+            ((6, 3, 3, 2, 2, 1), 8): 3,
+        }
+        assert max(index.values()) < realize._CERT_CAP
+        # the first certificate is the one realize_tff decides with
+        for t in small | want:
+            assert decide(*t, certificate=True)[1] == next(iter_configs(*t))
+
+    def test_block_spectra_follow_the_certificate(self):
+        # realize_tff builds each terminal from the first certificate that
+        # works, and the partial sums of the blocks' projections have the
+        # exact spectra that the certificate's prefix row sums encode
+        terminals = {_terminal(*inst) for seqs in _tetris_misses() for inst in seqs}
+        for ranks, dim in sorted(terminals):
+            _, cert, frame = _first_eigenstep_frame(ranks, dim)
+            assert frame.ranks == ranks and frame.dim == dim
+            built = realize_tff(ranks, dim, seed=0)
+            assert all(map(np.array_equal, built.blocks, frame.blocks)), (ranks, dim)
+            partial = np.zeros((dim, dim))
+            for block, spectrum in zip(frame.blocks, spectrum_chain(cert)):
+                partial += block @ block.T
+                got = np.linalg.eigvalsh(partial)[::-1]
+                want = np.array([float(x) for x in spectrum])
+                assert np.abs(got - want).max() <= 1e-12, (ranks, dim)
+
+    def test_frames_are_seed_free(self):
+        sweeps = _tetris_misses()
+        for ranks, dim in dict.fromkeys(sweeps[0] + sweeps[1]):
+            a = realize_tff(ranks, dim, seed=0)
+            b = realize_tff(ranks, dim, seed=7)
+            assert all(map(np.array_equal, a.blocks, b.blocks)), (ranks, dim)
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import tffcomb
@@ -150,3 +151,27 @@ def test_option_surface_is_pinned():
     assert surface == {
         name: COMMON + flags for name, flags in OPTION_SURFACE.items()
     }
+
+
+def test_realize_workload_needs_no_optimizer(monkeypatch):
+    # the benchmark's realize workload times realize_tff on these inputs;
+    # each must take an exact path (spectral tetris or certificate
+    # eigensteps), and the optimizer must not run
+    import refdata
+
+    def must_not_run(*args):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(tffcomb.realize, "_alternate", must_not_run)
+    inputs = workloads.realize_inputs(refdata)
+    assert len(inputs) == 231
+    for seed, (ranks, dim) in enumerate(inputs):
+        frame = tffcomb.realize_tff(ranks, dim, seed=seed)
+        report = tffcomb.verify_tff(frame, alpha=Fraction(sum(ranks), dim))
+        assert report.passed, (ranks, dim)
