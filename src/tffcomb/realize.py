@@ -81,7 +81,7 @@ class ProjectionSet:
     def from_json_dict(cls, data: dict) -> "ProjectionSet":
         """Inverse of to_json_dict.  Raises MalformedInput for any other
         layout: a missing key, a bad dim or rank, or a basis that is not
-        ``rank`` vectors of ``dim`` finite numbers."""
+        ``rank`` vectors of ``dim`` finite numbers (``_checked_stack``)."""
         if not isinstance(data, dict):
             raise MalformedInput(
                 f"ProjectionSet JSON must be an object, got {type(data).__name__}"
@@ -93,26 +93,16 @@ class ProjectionSet:
             ):
                 raise MalformedInput("ProjectionSet blocks must be a list of objects")
             ranks, dim = check_instance([item["rank"] for item in items], data["dim"])
-            bases = [np.asarray(item["basis"]) for item in items]
+            frame = cls(dim, tuple(np.asarray(item["basis"]).T for item in items))
         except KeyError as exc:
             raise MalformedInput(f"ProjectionSet JSON has no {exc} key") from exc
         except (InvalidRanks, ValueError) as exc:
             # InvalidRanks for dim and ranks, ValueError for ragged bases
             raise MalformedInput(f"ProjectionSet: {exc}") from exc
-        blocks = []
-        for basis, rank in zip(bases, ranks):
-            # numeric numpy kinds; true/false read as 1/0, as in ConfigMatrix
-            if (
-                basis.dtype.kind not in "biuf"
-                or basis.shape != (rank, dim)
-                or not np.isfinite(basis).all()
-            ):
-                raise MalformedInput(
-                    f"ProjectionSet basis must be {rank} vectors of {dim}"
-                    " finite numbers"
-                )
-            blocks.append(basis.astype(float).T)
-        return cls(dim=dim, blocks=tuple(blocks))
+        _checked_stack(frame)
+        if frame.ranks != ranks:
+            raise MalformedInput(f"ProjectionSet bases must have {ranks} vectors")
+        return cls(dim, tuple(b.astype(float) for b in frame.blocks))
 
     def to_csv(self) -> str:
         """Concatenated basis matrix, one comma-separated line per row."""
@@ -385,11 +375,10 @@ def _eigenstep_frame(cert: ConfigMatrix) -> ProjectionSet | None:
         vectors.append(f)
         before = after
     blocks = np.split(np.array(vectors).T, np.cumsum(cert.ranks)[:-1], axis=1)
-    if any(
-        np.linalg.norm(b.T @ b - np.eye(b.shape[1])) > _GRAM_BOUND for b in blocks
-    ):
+    frame = ProjectionSet(n, tuple(blocks))
+    if any(x > _GRAM_BOUND for x in _residuals(frame, float(frame.alpha))[1]):
         return None
-    return ProjectionSet(n, tuple(blocks))
+    return frame
 
 
 def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:
@@ -397,8 +386,11 @@ def _peel_lift(frame: ProjectionSet, count: int, dim: int) -> ProjectionSet:
 
 
 def _spatial_lift(frame: ProjectionSet) -> ProjectionSet:
-    """Block complements in reversed order; they sum to (K - alpha') I."""
-    blocks = [np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:] for b in frame.blocks]
+    """Block complements in reversed order; they sum to (K - alpha') I.
+    One complete QR of the padded stack: a zero column gets the identity
+    as its Householder reflector, so each Q is the one of its own block."""
+    qs = np.linalg.qr(_stack(frame), mode="complete")[0]
+    blocks = [q[:, r:] for q, r in zip(qs, frame.ranks)]
     return ProjectionSet(dim=frame.dim, blocks=tuple(reversed(blocks)))
 
 
@@ -414,11 +406,54 @@ def _naimark_lift(frame: ProjectionSet) -> ProjectionSet:
     return ProjectionSet(dim=rest.shape[0], blocks=tuple(np.split(rest, cuts, axis=1)))
 
 
-def _residuals(s: ProjectionSet, alpha: float) -> tuple[float, tuple[float, ...]]:
-    """The Frobenius norms of sum(P_k) - alpha*I and of each U_k^T U_k - I."""
-    total = sum(b @ b.T for b in s.blocks)
-    orth = tuple(float(np.linalg.norm(b.T @ b - np.eye(b.shape[1]))) for b in s.blocks)
-    return float(np.linalg.norm(total - alpha * np.eye(s.dim))), orth
+def _stack(frame: ProjectionSet) -> np.ndarray:
+    """The blocks as one K x N x max(rank) array, each padded with zero
+    columns on the right."""
+    stack = np.zeros((len(frame.blocks), frame.dim, max(frame.ranks, default=0)))
+    for layer, b in zip(stack, frame.blocks):
+        layer[:, :b.shape[1]] = b
+    return stack
+
+
+def _checked_stack(frame: ProjectionSet) -> np.ndarray:
+    """``_stack`` of a frame from outside: raises MalformedInput unless every
+    block is a 2-D array of real numbers (true and false read as 1 and 0)
+    with ``frame.dim`` rows, and every value is finite."""
+    if not all(
+        isinstance(b, np.ndarray) and b.dtype.kind in "biuf"
+        and b.ndim == 2 and b.shape[0] == frame.dim
+        for b in frame.blocks
+    ):
+        raise MalformedInput(
+            f"ProjectionSet blocks must be arrays of real numbers with {frame.dim} rows"
+        )
+    stack = _stack(frame)
+    if not np.isfinite(stack).all():
+        raise MalformedInput("ProjectionSet blocks must hold finite numbers")
+    return stack
+
+
+def _residuals(
+    s: ProjectionSet, alpha: float, stack: np.ndarray | None = None
+) -> tuple[float, tuple[float, ...]]:
+    """The Frobenius norms of sum(P_k) - alpha*I and of each U_k^T U_k - I,
+    from the padded ``stack`` of ``s`` (built if not given).  sum(P_k) is
+    S S^T for the blocks side by side; a padded column adds a zero row and
+    column to its Gram matrix, and the identity there is padded too."""
+    if stack is None:
+        stack = _stack(s)
+    k, n, r = stack.shape
+    flat = stack.transpose(1, 0, 2).reshape(n, k * r)
+    total = flat @ flat.T
+    total.flat[::n + 1] -= alpha
+    gram = stack.transpose(0, 2, 1) @ stack
+    gram.reshape(k, r * r)[:, ::r + 1] -= np.arange(r) < np.array(s.ranks)[:, None]
+    return float(np.linalg.norm(total)), _norms(gram)
+
+
+def _norms(mats: np.ndarray) -> tuple[float, ...]:
+    """The Frobenius norm of each matrix of a stack."""
+    return tuple(np.sqrt(np.einsum("kij,kij->k", mats, mats)).tolist())
 
 
 def _alternate(
@@ -476,18 +511,22 @@ def verify_tff(
 
     Measures the Frobenius residual of sum(P_k) - alpha*I, per-block
     orthonormality and idempotence, and the numerical rank of every block;
-    passes iff all residuals are within ``tol`` and ranks match.  ``alpha``
-    is read as a rational (``"3/2"`` too) or raises InvalidAlpha; a negative
-    or NaN ``tol`` raises InvalidParameter, as in realize_tff.
+    passes iff all residuals are within ``tol`` and ranks match.  Every
+    figure comes from one batched pass over the blocks stacked and padded
+    with zero columns, which change none of them: a zero column adds only
+    zeros to P_k and a zero singular value.  ``alpha`` is read as a
+    rational (``"3/2"`` too) or raises InvalidAlpha; a negative or NaN
+    ``tol`` raises InvalidParameter, as in realize_tff; a block that is not
+    a finite real (dim, rank) array raises MalformedInput.
     """
     _check_tol(tol)
+    stack = _checked_stack(s)
     alpha = s.alpha if alpha is None else as_rational(alpha, InvalidAlpha)
-    sum_res, orth = _residuals(s, float(alpha))
-    projs = [b @ b.T for b in s.blocks]
-    idem = tuple(float(np.linalg.norm(p @ p - p)) for p in projs)
-    nranks = tuple(
-        int(np.sum(np.linalg.svd(b, compute_uv=False) > 0.5)) for b in s.blocks
-    )
+    sum_res, orth = _residuals(s, float(alpha), stack)
+    projs = stack @ stack.transpose(0, 2, 1)
+    idem = _norms(projs @ projs - projs)
+    sing = np.linalg.svd(stack, compute_uv=False)
+    nranks = tuple((sing > 0.5).sum(axis=1).tolist())
     passed = all(x <= tol for x in (sum_res, *orth, *idem)) and nranks == s.ranks
     return VerificationReport(
         sum_residual=sum_res,

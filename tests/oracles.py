@@ -21,7 +21,10 @@ builds the spectral-tetris frame with its own row walk, reads which of its
 vectors are orthogonal from their inner products, and tries every
 assignment of the vectors to blocks on that graph, with no memo.
 ``greedy_tetris_frame`` is the library's ``_tetris_frame`` as it was when
-its greedy split scanned every family for every vector.
+its greedy split scanned every family for every vector.  ``reference_verify``
+and ``reference_spatial_lift`` are ``verify_tff`` and the spatial lift as they
+were before they worked on one zero-padded stack of the blocks: separate
+numpy calls for every block.
 """
 
 from fractions import Fraction
@@ -42,8 +45,14 @@ from tffcomb import (
     validate_config,
 )
 from tffcomb.configmat import canonical_instance
-from tffcomb.errors import ConvergenceFailure, DegenerateDual, InvalidCertificate
-from tffcomb.partitions import as_partition, conjugate, contains, pad
+from tffcomb.errors import (
+    ConvergenceFailure,
+    DegenerateDual,
+    InvalidAlpha,
+    InvalidCertificate,
+)
+from tffcomb.partitions import as_partition, as_rational, conjugate, contains, pad
+from tffcomb.realize import DEFAULT_TOL, VerificationReport, _check_tol
 
 
 def partitions_in_box(
@@ -676,3 +685,36 @@ def greedy_tetris_frame(ranks: tuple[int, ...], dim: int) -> ProjectionSet | Non
         left[k] -= 1
         last[k] = rows[-1]
     return ProjectionSet(dim, tuple(blocks))
+
+
+def _reference_residuals(s: ProjectionSet, alpha: float) -> tuple[float, tuple[float, ...]]:
+    """The Frobenius norms of sum(P_k) - alpha*I and of each U_k^T U_k - I."""
+    total = sum(b @ b.T for b in s.blocks)
+    orth = tuple(float(np.linalg.norm(b.T @ b - np.eye(b.shape[1]))) for b in s.blocks)
+    return float(np.linalg.norm(total - alpha * np.eye(s.dim))), orth
+
+
+def reference_verify(s: ProjectionSet, alpha=None, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """``verify_tff`` with one set of numpy calls per block."""
+    _check_tol(tol)
+    alpha = s.alpha if alpha is None else as_rational(alpha, InvalidAlpha)
+    sum_res, orth = _reference_residuals(s, float(alpha))
+    projs = [b @ b.T for b in s.blocks]
+    idem = tuple(float(np.linalg.norm(p @ p - p)) for p in projs)
+    nranks = tuple(
+        int(np.sum(np.linalg.svd(b, compute_uv=False) > 0.5)) for b in s.blocks
+    )
+    passed = all(x <= tol for x in (sum_res, *orth, *idem)) and nranks == s.ranks
+    return VerificationReport(
+        sum_residual=sum_res,
+        block_orthonormality=orth,
+        block_idempotence=idem,
+        block_ranks=nranks,
+        passed=passed,
+    )
+
+
+def reference_spatial_lift(frame: ProjectionSet) -> ProjectionSet:
+    """Block complements in reversed order, one complete QR per block."""
+    blocks = [np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:] for b in frame.blocks]
+    return ProjectionSet(dim=frame.dim, blocks=tuple(reversed(blocks)))

@@ -10,6 +10,8 @@ import pytest
 from oracles import (
     greedy_tetris_frame,
     reference_realize,
+    reference_spatial_lift,
+    reference_verify,
     split_exists,
     tetris_oracle,
     tetris_vectors,
@@ -47,6 +49,7 @@ from tffcomb.realize import (
     _alternate,
     _eigenstep_frame,
     _eigenstep_weights,
+    _spatial_lift,
     _tetris_frame,
 )
 from tffcomb.tffcore import descend
@@ -716,6 +719,72 @@ class TestEigensteps:
             assert all(map(np.array_equal, a.blocks, b.blocks)), (ranks, dim)
 
 
+@cache
+def _sweep_frames():
+    """The frames realize_tff builds for both sweeps of TestExactPaths."""
+    return tuple(
+        realize_tff(ranks, dim, seed=0)
+        for ranks, dim in dict.fromkeys(TIGHT_TO_3 + _tight_to_2_dim9())
+    )
+
+
+def _edge_frames():
+    """Frames off the realizer's paths: no blocks, a rank-deficient block, a
+    single block, unequal ranks, and blocks that are not orthonormal."""
+    ref = reference_projection_set()
+    rng = np.random.default_rng(5)
+    perturbed = [b.copy() for b in ref.blocks]
+    perturbed[1][0, 0] += 1e-3
+    deficient = np.eye(4)[:, [0, 0, 1]]
+    return [
+        ProjectionSet(3, ()),
+        ProjectionSet(4, (deficient, np.eye(4)[:, 2:])),
+        ProjectionSet(3, (np.eye(3),)),
+        ProjectionSet(5, (np.eye(5)[:, :1],)),
+        ref,
+        ProjectionSet(6, tuple(perturbed)),
+        ProjectionSet(4, tuple(rng.standard_normal((4, r)) for r in (3, 1, 2))),
+    ]
+
+
+def _assert_same_report(got, want, where):
+    assert got.block_ranks == want.block_ranks and got.passed == want.passed, where
+    for name in ("block_orthonormality", "block_idempotence"):
+        a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
+        assert a.shape == b.shape, (where, name)
+        assert np.allclose(a, b, rtol=0, atol=1e-12), (where, name)
+    assert abs(got.sum_residual - want.sum_residual) <= 1e-12, where
+
+
+class TestBatchedFigures:
+    def test_figures_match_per_block_reference(self):
+        # every figure from the zero-padded stack equals the per-block one,
+        # on every frame the sweeps realize and on the edge frames, with the
+        # frame's own alpha and with a wrong one
+        frames = _sweep_frames()
+        assert len(frames) == 2548
+        for frame in frames + tuple(_edge_frames()):
+            where = (frame.ranks, frame.dim)
+            _assert_same_report(verify_tff(frame), reference_verify(frame), where)
+            _assert_same_report(
+                verify_tff(frame, alpha=2, tol=1e-9),
+                reference_verify(frame, alpha=2, tol=1e-9), where,
+            )
+
+    def test_edge_verdicts(self):
+        reports = [verify_tff(frame) for frame in _edge_frames()]
+        assert [r.passed for r in reports] == [True, False, True, False, True, False, False]
+        assert reports[1].block_ranks == (2, 2)
+
+    def test_spatial_lift_is_the_per_block_qr(self):
+        # a zero column's Householder reflector is the identity, so the
+        # batched QR gives every block's complement bit for bit
+        for frame in _sweep_frames() + tuple(_edge_frames()):
+            got, want = _spatial_lift(frame), reference_spatial_lift(frame)
+            assert got.dim == want.dim and got.ranks == want.ranks
+            assert all(map(np.array_equal, got.blocks, want.blocks)), frame.ranks
+
+
 class TestVerify:
     @pytest.mark.parametrize("tol", [-1.0, -1e-9, float("nan")])
     def test_bad_tolerance_rejected(self, tol):
@@ -752,6 +821,17 @@ class TestVerify:
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(InvalidAlpha):
             verify_tff(reference_projection_set(), alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [(np.array([[np.nan], [0.0], [0.0]]),), (np.eye(2),), (np.ones(3),)],
+        ids=["nan-block", "wrong-dim", "one-dimensional"],
+    )
+    def test_malformed_frame_is_typed_error(self, blocks):
+        # a frame built directly, not read from JSON, gets the same block
+        # rule as from_json_dict
+        with pytest.raises(MalformedInput, match="ProjectionSet"):
+            verify_tff(ProjectionSet(3, blocks))
 
 
 class TestSerialization:

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tffcomb
 from tffcomb.cli import build_parser
 
@@ -175,3 +177,52 @@ def test_realize_workload_needs_no_optimizer(monkeypatch):
         frame = tffcomb.realize_tff(ranks, dim, seed=seed)
         report = tffcomb.verify_tff(frame, alpha=Fraction(sum(ranks), dim))
         assert report.passed, (ranks, dim)
+
+
+def test_bench_pair_summarizes_canned_runs(monkeypatch):
+    # the recorder's medians and inclusive quartiles per workload and side,
+    # on runs written out by hand; no git or benchmark process is started
+    spec = importlib.util.spec_from_file_location(
+        "bench_pair", ROOT / "scripts" / "bench_pair.py"
+    )
+    bench_pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pair)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", must_not_run)
+
+    def runs(workload, side, values):
+        return [
+            {"workload": workload, "side": side, "pair": i,
+             "metrics": {"op_p50_ms": v, "ops_per_s": 100 * v}}
+            for i, v in enumerate(values)
+        ]
+
+    summary = bench_pair.summarize(
+        runs("realize", "base", [4, 1, 3, 2, 10]) + runs("realize", "head", [1, 2, 3, 4])
+        + runs("duals", "head", [7])
+    )
+    assert summary == {
+        "realize": {
+            "base": {
+                "op_p50_ms": {"n": 5, "median": 3, "q1": 2, "q3": 4, "iqr": 2},
+                "ops_per_s": {"n": 5, "median": 300, "q1": 200, "q3": 400, "iqr": 200},
+            },
+            "head": {
+                "op_p50_ms": {"n": 4, "median": 2.5, "q1": 1.75, "q3": 3.25, "iqr": 1.5},
+                "ops_per_s": {"n": 4, "median": 250, "q1": 175, "q3": 325, "iqr": 150},
+            },
+        },
+        "duals": {
+            "head": {
+                "op_p50_ms": {"n": 1, "median": 7, "q1": 7, "q3": 7, "iqr": 0},
+                "ops_per_s": {"n": 1, "median": 700, "q1": 700, "q3": 700, "iqr": 0},
+            },
+        },
+    }
+    assert bench_pair.parse_plan(["realize:10", "duals:3"]) == [("realize", 10), ("duals", 3)]
+    for bad in ("realize", "realize:0", ":3", "realize:x"):
+        with pytest.raises(SystemExit):
+            bench_pair.parse_plan([bad])
