@@ -10,11 +10,11 @@ Each commit is checked out once, in a temporary ``git worktree``.  Every pair
 runs ``perfbench/run.py`` unchanged (``--trace 0``) on both sides with the
 same seed, the first pair of a workload with seed ``--seed`` and each next
 pair with the next seed; the side that runs first alternates from pair to
-pair.  The run length is ``run_seconds`` of this checkout's
-``BENCHMARK.json`` unless ``--seconds`` is given.  The file records both
-shas, the Python and numpy versions, ``nproc``, every run's answer counts
-and metrics and, per workload and side, the median and interquartile range
-(inclusive quartiles) of each metric.  The worktrees are removed at the end,
+pair.  The run length is always ``run_seconds`` of this checkout's
+``BENCHMARK.json``.  The file records both shas, the Python and numpy
+versions, ``nproc``, every run's answer counts and metrics and, per
+workload and side, the median and interquartile range (inclusive
+quartiles) of each metric.  The worktrees are removed at the end,
 also when a run fails.
 """
 
@@ -112,13 +112,10 @@ def main() -> int:
     parser.add_argument("--workload", action="append", metavar="NAME:PAIRS",
                         help="default: realize:5, catalog:3 and duals:3")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="length of each run")
     args = parser.parse_args()
 
     plan = parse_plan(args.workload or ["realize:5", "catalog:3", "duals:3"])
-    seconds = args.seconds
-    if seconds is None:
-        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in zip(SIDES, (args.base, args.head))}
     record = {

@@ -99,9 +99,7 @@ class ProjectionSet:
         except (InvalidRanks, ValueError) as exc:
             # InvalidRanks for dim and ranks, ValueError for ragged bases
             raise MalformedInput(f"ProjectionSet: {exc}") from exc
-        _checked_stack(frame)
-        if frame.ranks != ranks:
-            raise MalformedInput(f"ProjectionSet bases must have {ranks} vectors")
+        _checked_stack(frame, ranks)
         return cls(dim, tuple(b.astype(float) for b in frame.blocks))
 
     def to_csv(self) -> str:
@@ -276,8 +274,9 @@ def realize_tff(
         if frame is None:
             frame = _alternate(path.ranks, path.dim, seed, tol, max_restarts)
     frame = path.lift(frame, _peel_lift, _spatial_lift, _naimark_lift)
-    sum_res, orth = _residuals(frame, float(frame.alpha))
-    if not all(x <= tol for x in (sum_res, *orth)):
+    stack = _stack(frame)
+    sum_res = _sum_residual(stack, float(frame.alpha))
+    if not all(x <= tol for x in (sum_res, *_orth(_gram(stack), frame.ranks))):
         frame = _alternate(ranks, dim, seed, tol, max_restarts, list(frame.blocks))
     return frame
 
@@ -376,7 +375,7 @@ def _eigenstep_frame(cert: ConfigMatrix) -> ProjectionSet | None:
         before = after
     blocks = np.split(np.array(vectors).T, np.cumsum(cert.ranks)[:-1], axis=1)
     frame = ProjectionSet(n, tuple(blocks))
-    if any(x > _GRAM_BOUND for x in _residuals(frame, float(frame.alpha))[1]):
+    if any(x > _GRAM_BOUND for x in _orth(_gram(_stack(frame)), frame.ranks)):
         return None
     return frame
 
@@ -415,10 +414,14 @@ def _stack(frame: ProjectionSet) -> np.ndarray:
     return stack
 
 
-def _checked_stack(frame: ProjectionSet) -> np.ndarray:
+def _checked_stack(
+    frame: ProjectionSet, ranks: tuple[int, ...] | None = None
+) -> np.ndarray:
     """``_stack`` of a frame from outside: raises MalformedInput unless every
     block is a 2-D array of real numbers (true and false read as 1 and 0)
-    with ``frame.dim`` rows, and every value is finite."""
+    with ``frame.dim`` rows and, if ``ranks`` is given, ``ranks[k]``
+    columns, and every value is finite.  The shapes are checked before the
+    stack is built, so its size is bounded by the declared ranks."""
     if not all(
         isinstance(b, np.ndarray) and b.dtype.kind in "biuf"
         and b.ndim == 2 and b.shape[0] == frame.dim
@@ -427,28 +430,38 @@ def _checked_stack(frame: ProjectionSet) -> np.ndarray:
         raise MalformedInput(
             f"ProjectionSet blocks must be arrays of real numbers with {frame.dim} rows"
         )
+    if ranks is not None and frame.ranks != ranks:
+        raise MalformedInput(f"ProjectionSet bases must have {ranks} vectors")
     stack = _stack(frame)
     if not np.isfinite(stack).all():
         raise MalformedInput("ProjectionSet blocks must hold finite numbers")
     return stack
 
 
-def _residuals(
-    s: ProjectionSet, alpha: float, stack: np.ndarray | None = None
-) -> tuple[float, tuple[float, ...]]:
-    """The Frobenius norms of sum(P_k) - alpha*I and of each U_k^T U_k - I,
-    from the padded ``stack`` of ``s`` (built if not given).  sum(P_k) is
-    S S^T for the blocks side by side; a padded column adds a zero row and
-    column to its Gram matrix, and the identity there is padded too."""
-    if stack is None:
-        stack = _stack(s)
+def _sum_residual(stack: np.ndarray, alpha: float) -> float:
+    """The Frobenius norm of sum(P_k) - alpha*I for the padded ``stack``:
+    sum(P_k) is S S^T for the blocks side by side, and a padded column adds
+    nothing to it."""
     k, n, r = stack.shape
     flat = stack.transpose(1, 0, 2).reshape(n, k * r)
     total = flat @ flat.T
     total.flat[::n + 1] -= alpha
-    gram = stack.transpose(0, 2, 1) @ stack
-    gram.reshape(k, r * r)[:, ::r + 1] -= np.arange(r) < np.array(s.ranks)[:, None]
-    return float(np.linalg.norm(total)), _norms(gram)
+    return float(np.linalg.norm(total))
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """Each block's Gram matrix U_k^T U_k, padded with zero rows and columns."""
+    return stack.transpose(0, 2, 1) @ stack
+
+
+def _orth(gram: np.ndarray, ranks: Sequence[int]) -> tuple[float, ...]:
+    """The Frobenius norm of each U_k^T U_k - I from the padded ``gram``;
+    the identity has ones only on the first r_k diagonal entries, so the
+    padded rows and columns stay zero."""
+    k, r, _ = gram.shape
+    eye = np.zeros((k, r * r))
+    eye[:, ::r + 1] = np.arange(r) < np.array(ranks)[:, None]
+    return _norms(gram - eye.reshape(k, r, r))
 
 
 def _norms(mats: np.ndarray) -> tuple[float, ...]:
@@ -514,7 +527,10 @@ def verify_tff(
     passes iff all residuals are within ``tol`` and ranks match.  Every
     figure comes from one batched pass over the blocks stacked and padded
     with zero columns, which change none of them: a zero column adds only
-    zeros to P_k and a zero singular value.  ``alpha`` is read as a
+    zeros to P_k and to its Gram matrix G_k = U_k^T U_k, and a zero
+    singular value.  Idempotence is read from G_k, with no N x N matrix:
+    P_k^2 - P_k = U_k (G_k - I) U_k^T has the Frobenius norm of
+    G_k^2 - G_k.  ``alpha`` is read as a
     rational (``"3/2"`` too) or raises InvalidAlpha; a negative or NaN
     ``tol`` raises InvalidParameter, as in realize_tff; a block that is not
     a finite real (dim, rank) array raises MalformedInput.
@@ -522,9 +538,10 @@ def verify_tff(
     _check_tol(tol)
     stack = _checked_stack(s)
     alpha = s.alpha if alpha is None else as_rational(alpha, InvalidAlpha)
-    sum_res, orth = _residuals(s, float(alpha), stack)
-    projs = stack @ stack.transpose(0, 2, 1)
-    idem = _norms(projs @ projs - projs)
+    sum_res = _sum_residual(stack, float(alpha))
+    gram = _gram(stack)
+    orth = _orth(gram, s.ranks)
+    idem = _norms(gram @ gram - gram)
     sing = np.linalg.svd(stack, compute_uv=False)
     nranks = tuple((sing > 0.5).sum(axis=1).tolist())
     passed = all(x <= tol for x in (sum_res, *orth, *idem)) and nranks == s.ranks

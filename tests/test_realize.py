@@ -850,6 +850,19 @@ class TestSerialization:
         with pytest.raises(MalformedInput, match="ProjectionSet"):
             ProjectionSet.from_json_dict(data)
 
+    def test_basis_longer_than_its_rank_is_rejected_before_stacking(self, monkeypatch):
+        # a basis with more vectors than its declared rank would widen the
+        # padded stack of every block; it must fail before one is built
+        def no_stack(frame):
+            raise AssertionError("stack built before the ranks were checked")
+
+        monkeypatch.setattr(realize, "_stack", no_stack)
+        vectors = [[1.0]] * 5
+        data = {"dim": 1, "blocks": [{"rank": 1, "basis": [[1.0]]}] * 4
+                + [{"rank": 1, "basis": vectors}]}
+        with pytest.raises(MalformedInput, match=r"must have \(1, 1, 1, 1, 1\) vectors"):
+            ProjectionSet.from_json_dict(data)
+
     def test_csv_shape(self):
         ps = reference_projection_set()
         lines = ps.to_csv().splitlines()
