@@ -530,10 +530,10 @@ def verify_tff(
     zeros to P_k and to its Gram matrix G_k = U_k^T U_k, and a zero
     singular value.  Idempotence is read from G_k, with no N x N matrix:
     P_k^2 - P_k = U_k (G_k - I) U_k^T has the Frobenius norm of
-    G_k^2 - G_k.  ``alpha`` is read as a
-    rational (``"3/2"`` too) or raises InvalidAlpha; a negative or NaN
-    ``tol`` raises InvalidParameter, as in realize_tff; a block that is not
-    a finite real (dim, rank) array raises MalformedInput.
+    G_k^2 - G_k.  ``alpha`` is read as a rational (``"3/2"`` too) or raises
+    InvalidAlpha; a negative or NaN ``tol`` raises InvalidParameter, as in
+    realize_tff; a block that is not a finite real (dim, rank) array raises
+    MalformedInput.
     """
     _check_tol(tol)
     stack = _checked_stack(s)
