@@ -18,17 +18,18 @@ these matrices are exactly unions of column-strict lattice skew tableaux and
 their number equals a Littlewood-Richardson coefficient of rectangles.
 
 The search in this module (find_config, iter_configs) fills columns left to
-right, each column top to bottom, trying larger entries first, and states
-with no certificate below them are remembered.  It prunes by the support of
-the Littlewood-Richardson product: the blocks not yet filled must fill the
-180-degree complement lambda of the current shape, so lambda lies in the
-product of their rectangles.  Hence the largest later rectangle fits in
-lambda (checked while each column is built), and at each block start the
-union and the row-wise sum of the rectangles still to come bound lambda in
-dominance order (mu u nu <= lambda <= mu + nu).  One plan (``_plan``) lays
-out the columns with these bounds, and ``_column_options`` applies them.
-Only states without a completion are cut, so the search order and its
-certificates are those of the unpruned walk.
+right, each column top to bottom, trying larger entries first.  States
+with no certificate below them are remembered and skipped, and a state with
+one keeps its list of next columns for when the walk reaches it again.  It
+prunes by the support of the Littlewood-Richardson product: the blocks not
+yet filled must fill the 180-degree complement lambda of the current shape,
+so lambda lies in the product of their rectangles.  Hence the largest later
+rectangle fits in lambda (checked while each column is built), and at each
+block start the union and the row-wise sum of the rectangles still to come
+bound lambda in dominance order (mu u nu <= lambda <= mu + nu).  One plan
+(``_plan``) lays out the columns with these bounds, and ``_column_options``
+applies them.  Only states without a completion are cut, so the search order
+and its certificates are those of the unpruned walk.
 
 Counting (count_configs) meets in the middle of the box instead.  The count
 is the coefficient of the box ``(M^N)`` in the product of the rectangles
@@ -39,6 +40,12 @@ the ways it fills every shape from the empty one, and the count is the sum
 of the products of the two counts over complementary pairs of shapes.  Each
 half walks its columns by the search's plan, with the other half as the
 blocks still to come, so both walks cut by the same rules.
+
+``ConfigMatrix(...)`` and ``from_json_dict`` check and re-parse every field,
+since that data comes from outside.  The certificates this package builds
+itself (the search's results, the two duality maps' images and the identity
+blocks of a peel) are tuples of ints by construction, so ``_built`` takes
+them as built and skips that re-parse; every map still validates its input.
 """
 
 from __future__ import annotations
@@ -119,6 +126,16 @@ class ConfigMatrix:
         except KeyError as exc:
             raise MalformedInput(f"certificate JSON has no {exc} key") from exc
         return cls(*fields)
+
+
+def _built(
+    dim: int, ranks: tuple[int, ...], entries: tuple[tuple[int, ...], ...]
+) -> ConfigMatrix:
+    """A certificate the library built itself from ints, taken as built: the
+    three fields are set and ``__post_init__`` does not re-parse them."""
+    a = object.__new__(ConfigMatrix)
+    a.__dict__.update(dim=dim, ranks=ranks, entries=entries)
+    return a
 
 
 @dataclass(frozen=True)
@@ -362,11 +379,13 @@ def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
     docstring.
 
     A state (column, row sums, previous column) whose subtree held no
-    certificate is remembered and skipped when it is reached again.
+    certificate is remembered and skipped when it is reached again; one whose
+    subtree held one keeps its option list, so no state is expanded twice.
     """
     m = sum(ranks)
     plan = _plan(ranks, (), n, m)
     failed: set = set()
+    kept: dict = {}
     chosen: list[tuple[int, ...]] = []
     found = 0
 
@@ -379,7 +398,11 @@ def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
             return
         before = found
         step = plan[c]
-        for col in _column_options(rho, prev, step, n, m):
+        state = (c, rho, prev)
+        options = kept.get(state)
+        if options is None:
+            options = _column_options(rho, prev, step, n, m)
+        for col in options:
             child = (c + 1, tuple(map(add, rho, col)), col if step[1] else None)
             if child in failed:
                 continue
@@ -387,7 +410,9 @@ def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
             yield from go(*child)
             chosen.pop()
         if found == before:
-            failed.add((c, rho, prev))
+            failed.add(state)
+        else:
+            kept[state] = options
 
     yield from go(0, (0,) * n, None)
 
@@ -395,11 +420,7 @@ def _search(ranks: tuple[int, ...], n: int) -> Iterator[list[tuple[int, ...]]]:
 def _from_columns(
     columns: list[tuple[int, ...]], ranks: tuple[int, ...], dim: int
 ) -> ConfigMatrix:
-    return ConfigMatrix(
-        dim=dim,
-        ranks=ranks,
-        entries=tuple(tuple(col[i] for col in columns) for i in range(dim)),
-    )
+    return _built(dim, ranks, tuple(zip(*columns)))
 
 
 def find_config(ranks: Sequence[int], dim: int) -> ConfigMatrix | None:

@@ -6,23 +6,36 @@ Naimark dual keeps the ranks but moves to dimension M - dim with frame bound
 alpha/(alpha-1).  Both lift to explicit bijections on configuration
 matrices, implemented here, so certificate counts are preserved exactly.
 
-The certificate maps read the columns of the matrix directly: the spatial
-dual complements the binary summands of each block, counted from the
-block's column prefix sums, and the Naimark dual complements each column's
-diagram positions, found from running row offsets.  Each map validates its
-input on every call, through ``configmat.require_valid``, and does not
-re-check its output: the maps
-are bijections between valid certificates, which the tests check
-exhaustively against independent reference maps.
+Both certificate maps are closed formulas in prefix sums.  The spatial dual
+complements the binary summands of each block, and dual column t of a block
+of width w has its w + 1 possible nonzeros in rows t..t+w, read from the
+block's column prefix sums.  The Naimark dual complements each column's
+diagram positions, and dual row h has its N + 1 possible nonzeros in
+columns h..h+N, read from the row prefix sums (``config_naimark_dual``
+gives the formula and why it holds).  Each map validates its input on every
+call, through ``configmat.require_valid``, and takes its output as built,
+with no re-parse or re-check: the maps are bijections between valid
+certificates, which the tests check exhaustively against independent
+reference maps.  Which prefix sums each dual entry subtracts depends on
+``(ranks, dim)`` alone, so each map works that plan out once per instance
+(a bounded cache) and applies it with two itemgetters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from operator import itemgetter, sub
+from typing import Iterable, Sequence
 
-from .configmat import ConfigMatrix, canonical_instance, check_alpha, require_valid
+from .configmat import (
+    ConfigMatrix,
+    _built,
+    canonical_instance,
+    check_alpha,
+    require_valid,
+)
 from .errors import (
     AlphaNotGreaterThanOne,
     DegenerateDual,
@@ -109,12 +122,13 @@ def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
     every summand is replaced by the complementary summand on the unused
     rows (in increasing order), and the rebuilt blocks are emitted in
     reverse order, giving a certificate for (dim-L_K, ..., dim-L_1).  The
-    map works on the columns of ``a``; the input is validated.
+    input is validated.
 
     Dual blocks come from prefix sums: C_b(x) counts the units of source
     column b in rows <= x (C_{-1} = N, C_w = 0 for width w).  Row x is the
     t-th unused row of a summand s_0 < ... < s_{w-1} iff s_{b-1} < x < s_b
-    for b = x - t, so dual column t holds C_{b-1}(x-1) - C_b(x) of row x.
+    for b = x - t, so dual column t holds C_{b-1}(x-1) - C_b(x) of row x,
+    and its other rows are zero.
     """
     require_valid(a)
     n = a.dim
@@ -123,28 +137,10 @@ def config_spatial_dual(a: ConfigMatrix) -> ConfigMatrix:
             "a full-rank block has no complement columns; spatial dual"
             " certificate is degenerate"
         )
-    columns = list(zip(*a.entries))
-    # prefix[b + 1][x] = C_b(x - 1)
-    top, bottom = [n] * (n + 1), [0] * (n + 1)
-    dual_columns: list[list[int]] = []
-    hi = len(columns)
-    for width in reversed(a.ranks):
-        prefix = [
-            top,
-            *(list(accumulate(col, initial=0)) for col in columns[hi - width:hi]),
-            bottom,
-        ]
-        for t in range(n - width):
-            dual_columns.append([
-                prefix[x - t][x] - prefix[x - t + 1][x + 1]
-                if t <= x <= t + width else 0
-                for x in range(n)
-            ])
-        hi -= width
-    return ConfigMatrix(
-        dim=n,
-        ranks=tuple(n - r for r in reversed(a.ranks)),
-        entries=tuple(zip(*dual_columns)),
+    return _built(
+        n,
+        tuple(n - r for r in reversed(a.ranks)),
+        _gather(_spatial_plan(a.ranks, n), n, zip(*a.entries)),
     )
 
 
@@ -154,31 +150,84 @@ def config_naimark_dual(a: ConfigMatrix) -> ConfigMatrix:
     The tableau occupancy of each value is complemented and column-reversed
     inside the M-column strip; stacking the complements (blocks in order,
     values in order) and justifying every column upward yields the dual
-    union tableau, which is read back into a certificate.  The occupancy of
-    column ``(k, v)`` of ``a`` starts at each row's running offset; the
-    input is validated.
+    union tableau, which is read back into a certificate.  The input is
+    validated.
+
+    The dual comes in closed form from row prefix sums: P_i(j) counts the
+    units of row i in columns < j (P_{-1} = M, P_N = 0), and dual row h
+    holds P_{k-1}(h+k) - P_k(h+k+1) in column h+k for k = 0..N, zero
+    elsewhere.  In column j, row k occupies the strip positions z with
+    P_k(j) <= z < P_k(j+1), and property (iv) gives P_k(j+1) <= P_{k-1}(j),
+    so every free position of [P_k(j), P_{k-1}(j)) has height j - k.
     """
     require_valid(a)
     n, m = a.dim, a.total
     if m == n:
         raise DegenerateDual("bound 1 leaves a zero-dimensional complement")
-    new_dim = m - n
-    offsets = [0] * n
-    height = [0] * m
-    dual_columns: list[list[int]] = []
-    for col in zip(*a.entries):
-        free = [True] * m
-        for i, c in enumerate(col):
-            if c:
-                start = m - offsets[i]
-                free[start - c:start] = [False] * c
-                offsets[i] += c
-        out = [0] * new_dim
-        for y, f in enumerate(free):
-            if f:
-                out[height[y]] += 1
-                height[y] += 1
-        dual_columns.append(out)
-    return ConfigMatrix(
-        dim=new_dim, ranks=a.ranks, entries=tuple(zip(*dual_columns))
+    return _built(
+        m - n, a.ranks, _gather(_naimark_plan(a.ranks, n), m, a.entries)
     )
+
+
+def _band(lines: range, length: int) -> list[list[tuple[int, int]]]:
+    """The band formula as index pairs into ``_gather``'s flat list.
+
+    The flat list holds 0, ``top`` and then the ``length + 1`` prefix sums of
+    each line, and ``prefix`` lists the indices of [top, the prefix sums of
+    ``lines``, 0].  Line t < length - len(lines) pairs prefix[b][t + b] with
+    prefix[b + 1][t + b + 1] at position t + b, and index 0 with itself
+    (0 - 0) elsewhere.
+    """
+    prefix = [
+        [1] * (length + 1),
+        *(range(2 + i * (length + 1), 2 + (i + 1) * (length + 1)) for i in lines),
+        [0] * (length + 1),
+    ]
+    count = length - len(lines)
+    return [
+        [(0, 0)] * t
+        + [(p[t + b], q[t + b + 1]) for b, (p, q) in enumerate(zip(prefix, prefix[1:]))]
+        + [(0, 0)] * (count - 1 - t)
+        for t in range(count)
+    ]
+
+
+def _getters(rows: list[Sequence[tuple[int, int]]]) -> tuple:
+    """Two getters and the row width: entry ``(i, j)`` of ``rows`` reads
+    ``flat[i] - flat[j]``.  A dual has at least two entries, so each getter
+    returns a tuple."""
+    first, second = zip(*(pair for row in rows for pair in row))
+    return itemgetter(*first), itemgetter(*second), len(rows[0])
+
+
+def _gather(
+    plan: tuple, top: int, lines: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The dual's rows, each entry the difference of two values of the flat
+    list ``[0, top]`` and the prefix sums (from 0) of each line; zipping one
+    iterator ``width`` times cuts the entries into rows."""
+    flat = [0, top]
+    for line in lines:
+        flat += accumulate(line, initial=0)
+    first, second, width = plan
+    values = map(sub, first(flat), second(flat))
+    return tuple(zip(*[values] * width))
+
+
+@lru_cache(maxsize=256)
+def _spatial_plan(ranks: tuple[int, ...], n: int) -> tuple:
+    """The spatial dual over the prefix sums of the source columns: the
+    band of each block's dual columns, blocks reversed, read by rows."""
+    columns: list[list[tuple[int, int]]] = []
+    hi = sum(ranks)
+    for width in reversed(ranks):
+        columns += _band(range(hi - width, hi), n)
+        hi -= width
+    return _getters(list(zip(*columns)))
+
+
+@lru_cache(maxsize=256)
+def _naimark_plan(ranks: tuple[int, ...], n: int) -> tuple:
+    """The Naimark dual over the prefix sums of the source rows, whose band
+    lines are the dual rows."""
+    return _getters(_band(range(n), sum(ranks)))

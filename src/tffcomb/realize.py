@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import prod
 from typing import Mapping, Sequence
 
@@ -373,8 +373,7 @@ def _eigenstep_frame(cert: ConfigMatrix) -> ProjectionSet | None:
         op += np.outer(f, f)
         vectors.append(f)
         before = after
-    blocks = np.split(np.array(vectors).T, np.cumsum(cert.ranks)[:-1], axis=1)
-    frame = ProjectionSet(n, tuple(blocks))
+    frame = ProjectionSet(n, _column_blocks(np.array(vectors).T, cert.ranks))
     if any(x > _GRAM_BOUND for x in _orth(_gram(_stack(frame)), frame.ranks)):
         return None
     return frame
@@ -401,8 +400,12 @@ def _naimark_lift(frame: ProjectionSet) -> ProjectionSet:
     synthesis = np.hstack(frame.blocks) / np.sqrt(alpha)
     rest = np.linalg.qr(synthesis.T, mode="complete")[0][:, frame.dim:].T
     rest /= np.sqrt(1 - 1 / alpha)
-    cuts = np.cumsum(frame.ranks)[:-1]
-    return ProjectionSet(dim=rest.shape[0], blocks=tuple(np.split(rest, cuts, axis=1)))
+    return ProjectionSet(dim=rest.shape[0], blocks=_column_blocks(rest, frame.ranks))
+
+
+def _column_blocks(mat: np.ndarray, ranks: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """``mat`` cut into consecutive column blocks of widths ``ranks``."""
+    return tuple(mat[:, end - r:end] for r, end in zip(ranks, accumulate(ranks)))
 
 
 def _stack(frame: ProjectionSet) -> np.ndarray:
@@ -417,11 +420,19 @@ def _stack(frame: ProjectionSet) -> np.ndarray:
 def _checked_stack(
     frame: ProjectionSet, ranks: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """``_stack`` of a frame from outside: raises MalformedInput unless every
-    block is a 2-D array of real numbers (true and false read as 1 and 0)
-    with ``frame.dim`` rows and, if ``ranks`` is given, ``ranks[k]``
-    columns, and every value is finite.  The shapes are checked before the
-    stack is built, so its size is bounded by the declared ranks."""
+    """``_stack`` of a frame from outside: raises MalformedInput unless
+    ``frame.dim`` is a positive integer, every block is a 2-D array of real
+    numbers (true and false read as 1 and 0) with ``frame.dim`` rows and, if
+    ``ranks`` is given, ``ranks[k]`` columns, and every value is finite.  The
+    shapes are checked before the stack is built, so its size is bounded by
+    the declared ranks."""
+    try:
+        (dim,) = as_ints((frame.dim,), MalformedInput)
+    except MalformedInput as exc:
+        raise MalformedInput(f"ProjectionSet dim: {exc}") from None
+    if dim < 1:
+        raise MalformedInput(f"ProjectionSet dim must be positive, got {dim}")
+    frame = ProjectionSet(dim, frame.blocks)
     if not all(
         isinstance(b, np.ndarray) and b.dtype.kind in "biuf"
         and b.ndim == 2 and b.shape[0] == frame.dim
@@ -537,7 +548,11 @@ def verify_tff(
     """
     _check_tol(tol)
     stack = _checked_stack(s)
-    alpha = s.alpha if alpha is None else as_rational(alpha, InvalidAlpha)
+    # the stack's rows are the checked dim, which s.dim may hold as 3.0
+    alpha = (
+        Fraction(sum(s.ranks), stack.shape[1]) if alpha is None
+        else as_rational(alpha, InvalidAlpha)
+    )
     sum_res = _sum_residual(stack, float(alpha))
     gram = _gram(stack)
     orth = _orth(gram, s.ranks)

@@ -16,7 +16,7 @@ from math import floor
 from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
-from .configmat import ConfigMatrix, canonical_instance, check_alpha, find_config
+from .configmat import ConfigMatrix, _built, canonical_instance, check_alpha, find_config
 from .dualities import (
     alpha_reduce,
     config_naimark_dual,
@@ -89,10 +89,10 @@ def _add_identity_blocks(
     """``cert`` (None for no blocks) behind ``count`` full-rank blocks, each
     the identity summand: ``dim`` boxes of value v in row v."""
     rows = cert.entries if cert else ((),) * dim
-    return ConfigMatrix(
-        dim=dim,
-        ranks=(dim,) * count + (cert.ranks if cert else ()),
-        entries=tuple(
+    return _built(
+        dim,
+        (dim,) * count + (cert.ranks if cert else ()),
+        tuple(
             tuple(dim if i == v else 0 for _ in range(count) for v in range(dim))
             + row
             for i, row in enumerate(rows)

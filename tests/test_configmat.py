@@ -1,4 +1,7 @@
-from itertools import islice, permutations
+import gc
+import weakref
+from itertools import accumulate, islice, permutations
+from operator import add
 
 import pytest
 
@@ -49,7 +52,9 @@ from tffcomb.errors import (
     InvalidShape,
     SizeMismatch,
 )
+from tffcomb import configmat
 from tffcomb.partitions import partitions_of
+from tffcomb.tffcore import decide
 
 
 class TestValidate:
@@ -219,6 +224,20 @@ class TestNoHiddenState:
                     mu_chain, tableau_cells):
             use(cert)
         assert vars(cert).keys() == {"dim", "ranks", "entries"}
+        # certificates the library builds skip the constructor's re-parse;
+        # each must still be the certificate the checking constructor makes
+        # of its data, with the same hash
+        tight, peeled = decide((4, 2, 2, 2, 1, 1), 4, certificate=True)
+        assert tight and peeled.ranks[0] == 4
+        built = [find_config((2, 2, 2, 1), 4), peeled,
+                 *islice(iter_configs((3, 3, 2, 2, 1, 1), 5), 40)]
+        built += [config_naimark_dual(c) for c in built]
+        built += [config_spatial_dual(c) for c in built if max(c.ranks) < c.dim]
+        assert len(built) == 167
+        for c in built:
+            assert vars(c).keys() == {"dim", "ranks", "entries"}
+            copy = ConfigMatrix(c.dim, c.ranks, c.entries)
+            assert c == copy and hash(c) == hash(copy)
 
 
 class TestFindConfig:
@@ -280,15 +299,53 @@ class TestSearchOrder:
 
     def test_iter_configs_matches_reference_walk(self):
         # 242 instances: every partition with 1 <= dim <= 5 and
-        # dim <= total <= 2*dim + 1, up to the first 300 certificates
-        checked = 0
+        # dim <= total <= 2*dim + 1, in full up to 5 000 certificates (all
+        # 28 instances of the benchmark's duals workload among them) and
+        # the first 300 above
+        checked = compared = 0
         for dim in range(1, 6):
             for total in range(dim, 2 * dim + 2):
                 for ranks in partitions_of(total, max_part=dim):
-                    got = [_columns(c) for c in islice(iter_configs(ranks, dim), 300)]
-                    assert got == reference_columns(ranks, dim, 300), (ranks, dim)
+                    cap = None if count_configs(ranks, dim) <= 5000 else 300
+                    got = [_columns(c) for c in islice(iter_configs(ranks, dim), cap)]
+                    assert got == reference_columns(ranks, dim, cap), (ranks, dim)
                     checked += 1
-        assert checked == 242
+                    compared += len(got)
+        assert checked == 242 and compared == 25893 + 18 * 300
+
+    def test_iter_configs_builds_each_option_list_once(self, monkeypatch):
+        # a state whose subtree held a certificate keeps its option list and
+        # a dead one is skipped, so no state is expanded twice; a paused walk
+        # holds the option lists of states on the way to a certificate only
+        class Options(list):
+            """A list that a weak reference can follow."""
+
+        built = {}
+        real = configmat._column_options
+
+        def tracked(rho, prev, step, n, m):
+            state = (sum(rho) // n, rho, prev)
+            assert state not in built, state
+            options = Options(real(rho, prev, step, n, m))
+            built[state] = weakref.ref(options)
+            return options
+
+        monkeypatch.setattr(configmat, "_column_options", tracked)
+        ranks, dim = (3, 3, 2, 2, 1, 1), 5
+        starts = {0, *accumulate(ranks)}
+        walk = iter_configs(ranks, dim)
+        on_the_way = set()
+        for cert in islice(walk, 600):
+            columns = _columns(cert)
+            rho = (0,) * dim
+            for c, col in enumerate(columns):
+                on_the_way.add((c, rho, None if c in starts else columns[c - 1]))
+                rho = tuple(map(add, rho, col))
+        gc.collect()
+        held = {state for state, ref in built.items() if ref() is not None}
+        assert held <= on_the_way
+        assert len(held) > len(ranks) and len(built) > len(on_the_way)
+        walk.close()
 
 
 class TestCountConfigs:

@@ -823,15 +823,23 @@ class TestVerify:
             verify_tff(reference_projection_set(), alpha=alpha)
 
     @pytest.mark.parametrize(
-        "blocks",
-        [(np.array([[np.nan], [0.0], [0.0]]),), (np.eye(2),), (np.ones(3),)],
-        ids=["nan-block", "wrong-dim", "one-dimensional"],
+        "dim, blocks",
+        [
+            (3, (np.array([[np.nan], [0.0], [0.0]]),)),
+            (3, (np.eye(2),)),
+            (3, (np.ones(3),)),
+            (0, ()),
+            ("x", ()),
+            (-2, ()),
+        ],
+        ids=["nan-block", "wrong-dim", "one-dimensional",
+             "zero-dim", "text-dim", "negative-dim"],
     )
-    def test_malformed_frame_is_typed_error(self, blocks):
-        # a frame built directly, not read from JSON, gets the same block
-        # rule as from_json_dict
+    def test_malformed_frame_is_typed_error(self, dim, blocks):
+        # a frame built directly, not read from JSON, gets the same dim and
+        # block rules as from_json_dict
         with pytest.raises(MalformedInput, match="ProjectionSet"):
-            verify_tff(ProjectionSet(3, blocks))
+            verify_tff(ProjectionSet(dim, blocks))
 
 
 class TestSerialization:
