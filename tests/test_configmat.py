@@ -337,14 +337,17 @@ class TestSearchOrder:
         on_the_way = set()
         for cert in islice(walk, 600):
             columns = _columns(cert)
-            rho = (0,) * dim
+            rho, path = (0,) * dim, set()
             for c, col in enumerate(columns):
-                on_the_way.add((c, rho, None if c in starts else columns[c - 1]))
+                path.add((c, rho, None if c in starts else columns[c - 1]))
                 rho = tuple(map(add, rho, col))
+            on_the_way |= path
         gc.collect()
         held = {state for state, ref in built.items() if ref() is not None}
-        assert held <= on_the_way
-        assert len(held) > len(ranks) and len(built) > len(on_the_way)
+        # the walk's own stack holds the last certificate's path; the rest
+        # are kept lists, and dead states were expanded too
+        assert held <= on_the_way and held - path
+        assert len(built) > len(on_the_way)
         walk.close()
 
 
