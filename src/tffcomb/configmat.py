@@ -46,12 +46,31 @@ since that data comes from outside.  The certificates this package builds
 itself (the search's results, the two duality maps' images and the identity
 blocks of a peel) are tuples of ints by construction, so ``_built`` takes
 them as built and skips that re-parse; every map still validates its input.
+
+validate_config accepts a valid certificate by a packed-integer test
+(``_packed_ok``) when ``max(M, N) <= 127``, and only a rejected input reaches
+the walk over the entries, which writes every report.  Each row becomes one
+int with one byte per entry.  ``bytes`` refuses an entry outside 0..255
+(i), every row must sum to M (ii), and then every prefix sum of a row or a
+column of a valid certificate is at most max(M, N) <= 127, so it fits in 7
+bits.  Multiplying a row by 0x0101...01 gives its prefix sums, one per byte,
+with no carry.  Setting the top bit of every byte of x and subtracting y
+compares all the bytes at once: byte l of ``(x | 0x8080...80) - y`` keeps
+its top bit iff x_l >= y_l, and no byte borrows, since both sides are at
+most 127.  Comparing the row above's prefix sums, shifted by one byte, with
+the row's own is (iv) at every prefix length.  The column prefix sums
+before a row are compared in the same way with those after it, shifted by
+one byte, on the columns whose right neighbour is in their block, which is
+(v); a byte above 127 there rejects at once, so no addition carries.  The
+column sums must end at N (iii).  These are the walk's inequalities, one for
+one, so the packed test accepts exactly what the walk accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Iterator, Sequence
 
@@ -151,13 +170,68 @@ class ValidationReport:
         return self.ok
 
 
+_OK = ValidationReport(True)
+
+
+@lru_cache(maxsize=256)
+def _packed_plan(ranks: tuple[int, ...], dim: int) -> tuple[int, ...] | None:
+    """Masks of ``_packed_ok`` over M byte fields: ``(M, ONES, LOW, H, V,
+    VH, WANT)``, or None when ``max(M, dim) > 127``.
+
+    ``ONES`` has 0x01 in every field, ``LOW`` is every field, ``H`` has 0x80
+    in every field, ``V`` is 0xFF in field l when column l + 1 is in column
+    l's block, ``VH = V & H``, and ``WANT`` has ``dim`` in every field.
+    """
+    m = sum(ranks)
+    if max(m, dim) > 127:
+        return None
+    ones = int.from_bytes(b"\x01" * m, "little")
+    inside = b"".join(b"\xff" * (w - 1) + b"\x00" for w in ranks)
+    v = int.from_bytes(inside, "little")
+    low, h = 0xFF * ones, 0x80 * ones
+    return m, ones, low, h, v, v & h, dim * ones
+
+
+def _packed_ok(a: ConfigMatrix) -> bool:
+    """True only if ``a`` satisfies (i)-(v), from a few big-int operations
+    per row, as the module docstring explains; False for an instance with
+    ``max(M, dim) > 127``."""
+    plan = _packed_plan(a.ranks, a.dim)
+    if plan is None or set(map(sum, a.entries)) != {plan[0]}:
+        return False
+    _, ones, low, h, v, vh, want = plan
+    # 127 in every field: the first row has no row above it to dominate
+    above, c = low ^ h, 0
+    try:
+        for row in a.entries:
+            r = int.from_bytes(bytes(row), "little")
+            p = (r * ones) & low
+            if ((above | h) - p) & h != h:
+                return False
+            below = c + r
+            if below & h or (((c & v) | vh) - ((below >> 8) & v)) & vh != vh:
+                return False
+            above, c = (p << 8) & low, below
+    except ValueError:
+        return False
+    return c == want
+
+
 def validate_config(a: ConfigMatrix) -> ValidationReport:
     """Check properties (i)-(v); (v) is checked per column block.
 
     Reports the first violated property together with the offending (1-based)
     indices.  Malformed data, a block wider than ``dim`` included, never
     gets this far: the ConfigMatrix constructor rejects it.
+
+    A valid certificate of an instance with ``max(M, dim) <= 127`` is
+    accepted by the packed test of the module docstring, which checks the
+    walk's inequalities one for one and so accepts exactly what the walk
+    accepts.  It writes no report: every rejected input, and every input of
+    a larger instance, goes through the walk below, which writes each report.
     """
+    if _packed_ok(a):
+        return _OK
     n, m = a.dim, a.total
     rows = a.entries
     for i, row in enumerate(rows):
@@ -468,11 +542,11 @@ def iter_configs(ranks: Sequence[int], dim: int) -> Iterator[ConfigMatrix]:
     The same depth-first walk as find_config, continued past the first
     certificate.  It skips dead states but yields certificates one at a time,
     so its cost grows with the count; count_configs gives bare counts without
-    building any certificate.
+    building any certificate.  Raises InvalidRanks, when called, as
+    check_instance does.
     """
     ranks, dim = check_instance(ranks, dim)
-    for columns in _search(ranks, dim):
-        yield _from_columns(columns, ranks, dim)
+    return (_from_columns(columns, ranks, dim) for columns in _search(ranks, dim))
 
 
 def mu_chain(a: ConfigMatrix) -> tuple[tuple[int, ...], ...]:

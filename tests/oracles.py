@@ -24,7 +24,9 @@ assignment of the vectors to blocks on that graph, with no memo.
 its greedy split scanned every family for every vector.  ``reference_verify``
 and ``reference_spatial_lift`` are ``verify_tff`` and the spatial lift as they
 were before they worked on one zero-padded stack of the blocks: separate
-numpy calls for every block.
+numpy calls for every block.  ``reference_validate`` is ``validate_config``
+as it was before valid certificates were accepted by a packed-integer test:
+the walk over the entries alone, which writes every report.
 """
 
 from fractions import Fraction
@@ -44,7 +46,7 @@ from tffcomb import (
     spatial_dual,
     validate_config,
 )
-from tffcomb.configmat import canonical_instance
+from tffcomb.configmat import ValidationReport, canonical_instance
 from tffcomb.errors import (
     ConvergenceFailure,
     DegenerateDual,
@@ -244,6 +246,59 @@ def reference_decompose_block(block_rows):
             )
         summands.append(rows)
     return summands
+
+
+def reference_validate(a: ConfigMatrix) -> ValidationReport:
+    """``validate_config`` as the walk alone: properties (i)-(v) in order,
+    reporting the first violation with its (1-based) indices."""
+    n, m = a.dim, a.total
+    rows = a.entries
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x < 0:
+                return ValidationReport(
+                    False, "i", (i + 1, j + 1),
+                    f"negative entry at row {i + 1}, column {j + 1}",
+                )
+    for i, row in enumerate(rows):
+        s = sum(row)
+        if s != m:
+            return ValidationReport(
+                False, "ii", (i + 1,), f"row {i + 1} sums to {s}, expected {m}"
+            )
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        s = sum(col)
+        if s != n:
+            return ValidationReport(
+                False, "iii", (j + 1,), f"column {j + 1} sums to {s}, expected {n}"
+            )
+    # rows have equal sums by now, so (iv) needs no check at full length
+    for i in range(n - 1):
+        diff = 0
+        for l, (x, nxt) in enumerate(zip(rows[i], rows[i + 1])):
+            # prefix of length l compared against entry l+1 of the next row
+            if diff < nxt:
+                return ValidationReport(
+                    False, "iv", (i + 1, l + 1),
+                    f"row dominance fails between rows {i + 1},{i + 2}"
+                    f" at prefix length {l}",
+                )
+            diff += x - nxt
+    lo = 0
+    for k, width in enumerate(a.ranks):
+        for j in range(width - 1):
+            diff = 0
+            for l, (x, nxt) in enumerate(zip(cols[lo + j], cols[lo + j + 1])):
+                if diff < nxt:
+                    return ValidationReport(
+                        False, "v", (k + 1, j + 1, l + 1),
+                        f"column dominance fails in block {k + 1} between"
+                        f" columns {j + 1},{j + 2} at prefix length {l}",
+                    )
+                diff += x - nxt
+        lo += width
+    return ValidationReport(True)
 
 
 def _require_valid(a):

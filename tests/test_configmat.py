@@ -1,6 +1,7 @@
 import gc
+from collections import Counter
 import weakref
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, islice, permutations, product
 from operator import add
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     lr_oracle,
     partitions_in_box,
     reference_columns,
+    reference_validate,
 )
 from tffcomb import (
     ConfigMatrix,
@@ -217,6 +219,118 @@ class TestValidateOnce:
         assert ConfigMatrix.from_json_dict(checked.to_json_dict()) == plain
 
 
+def _near(a):
+    """Entry tables one change away from ``a``: each entry moved by -2, -1,
+    +1 or +2 or set to 127, 128, 255, 256 or -1; each unit moved along a
+    row, which keeps the row sums; and each unit cycle on a 2x2 minor, which
+    keeps the row and column sums and so reaches (iv) and (v)."""
+    rows = [list(r) for r in a.entries]
+    n, m = a.dim, a.total
+    for i, j in product(range(n), range(m)):
+        x = rows[i][j]
+        for rows[i][j] in (x - 2, x - 1, x + 1, x + 2, 127, 128, 255, 256, -1):
+            yield rows
+        rows[i][j] = x
+    for i, j, k in product(range(n), range(m), range(m)):
+        if j == k or not rows[i][j]:
+            continue
+        rows[i][j] -= 1
+        rows[i][k] += 1
+        yield rows
+        for row in rows[i + 1:]:
+            if row[k]:
+                row[k] -= 1
+                row[j] += 1
+                yield rows
+                row[k] += 1
+                row[j] -= 1
+        rows[i][j] += 1
+        rows[i][k] -= 1
+
+
+def _assert_walk_agrees(a):
+    # the whole report, and the packed test accepts exactly the valid
+    # certificates of instances with max(M, dim) <= 127
+    want = reference_validate(a)
+    assert validate_config(a) == want, a
+    fits = max(a.total, a.dim) <= 127
+    assert configmat._packed_ok(a) == (fits and want.ok), a
+
+
+def _with_images(a):
+    out = [a]
+    if max(a.ranks) < a.dim:
+        out.append(config_spatial_dual(a))
+    if a.total > a.dim:
+        out.append(config_naimark_dual(a))
+    return out
+
+
+class TestPackedValidation:
+    """validate_config accepts valid certificates by a packed-integer test
+    and writes every report by the walk; both must agree with the walk as it
+    was (``reference_validate``)."""
+
+    # every partition with 1 <= dim <= 4 and dim <= total <= 2*dim
+    INSTANCES = [
+        (ranks, dim)
+        for dim in range(1, 5)
+        for total in range(dim, 2 * dim + 1)
+        for ranks in partitions_of(total, max_part=dim)
+    ]
+
+    def test_every_certificate_and_image_accepted(self):
+        seen = set()
+        for ranks, dim in self.INSTANCES:
+            for cert in iter_configs(ranks, dim):
+                seen.update(_with_images(cert))
+        assert len(self.INSTANCES) == 74 and len(seen) == 10342
+        for cert in seen:
+            _assert_walk_agrees(cert)
+            assert configmat._packed_ok(cert)
+
+    def test_one_change_away_agrees(self):
+        # the first three certificates of every instance and their images
+        seen = set()
+        for ranks, dim in self.INSTANCES:
+            for cert in islice(iter_configs(ranks, dim), 3):
+                seen.update(_with_images(cert))
+        reached = Counter()
+        for cert in seen:
+            for rows in _near(cert):
+                near = ConfigMatrix(cert.dim, cert.ranks, rows)
+                _assert_walk_agrees(near)
+                reached[validate_config(near).violated] += 1
+        # every property is the first one violated somewhere, and 330 of the
+        # 71 813 tables are certificates again
+        assert len(seen) == 163 and reached == {
+            None: 330, "i": 12287, "ii": 34153, "iii": 17341, "iv": 6309,
+            "v": 1393,
+        }
+
+    @pytest.mark.parametrize(
+        "ranks, dim",
+        [((1,) * 127, 1), ((1,) * 127, 2), ((127,), 127), ((64, 63), 127),
+         ((1,) * 128, 1), ((2,) * 65, 2), ((1,) * 130, 2), ((128,), 128),
+         ((130,), 130)],
+        ids=["M127", "M127-N2", "N127", "N127-K2",
+             "M128", "M130-K65", "M130-N2", "N128", "N130"],
+    )
+    def test_packed_bound(self, ranks, dim):
+        # every prefix sum fits in 7 bits up to max(M, dim) = 127; above, the
+        # walk alone accepts
+        cert = find_config(ranks, dim)
+        assert validate_config(cert).ok
+        _assert_walk_agrees(cert)
+
+    @pytest.mark.parametrize(
+        "ranks, dim", [((1,) * 127, 2), ((2,) * 65, 2)], ids=["M127", "M130"]
+    )
+    def test_one_change_away_at_the_bound(self, ranks, dim):
+        cert = find_config(ranks, dim)
+        for rows in _near(cert):
+            _assert_walk_agrees(ConfigMatrix(dim, ranks, rows))
+
 class TestNoHiddenState:
     def test_checked_certificate_holds_only_its_fields(self):
         cert = ConfigMatrix(4, (2, 2, 2, 1), CERT_4x7_RANKS_2221.entries)
@@ -266,6 +380,12 @@ class TestFindConfig:
             find_config((), 3)
         with pytest.raises(InvalidRanks):
             find_config((4,), 3)
+
+    def test_iter_configs_checks_arguments_when_called(self):
+        # raised by the call itself, before any certificate is asked for
+        for ranks, dim in (((2, 1), 0), ((), 3), ((4,), 3)):
+            with pytest.raises(InvalidRanks):
+                iter_configs(ranks, dim)
 
     def test_deterministic(self):
         a = find_config((3, 2, 2, 2), 4)
