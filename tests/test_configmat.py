@@ -1,6 +1,6 @@
 import gc
-from collections import Counter
 import weakref
+from collections import Counter
 from itertools import accumulate, islice, permutations, product
 from operator import add
 
@@ -330,6 +330,7 @@ class TestPackedValidation:
         cert = find_config(ranks, dim)
         for rows in _near(cert):
             _assert_walk_agrees(ConfigMatrix(dim, ranks, rows))
+
 
 class TestNoHiddenState:
     def test_checked_certificate_holds_only_its_fields(self):
